@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from math import isfinite
 from typing import Optional
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .galerkin import solve_2d_spectrum
 from .harness import CLAIMS, resolve_claim_id, run_claim, run_suite, suite_passed
-from .model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, Domain,
+from .model import (BC_DIRICHLET, BC_NEUMANN, CONFIG_DEFAULTS, CapabilityError, Domain,
                     InvalidArgumentError, NumericalError, PhlabError, RunConfig,
                     Spectrum, merge_config, validate_config)
 from .oned import solve_1d_spectrum
@@ -92,7 +92,12 @@ def _build_parser() -> _Parser:
 
 
 def thread_count() -> Optional[int]:
-    """Worker count from PHLAB_THREADS; default is the logical processor count."""
+    """Worker count from PHLAB_THREADS; default is the logical processor count.
+
+    Claims run one after another whatever the count: the solves already use
+    the BLAS threads and the rest holds the GIL, so claim threads only added
+    contention.  The variable is still validated so a malformed value fails.
+    """
     raw = os.environ.get("PHLAB_THREADS")
     if raw is None:
         return os.cpu_count() or 1
@@ -116,9 +121,7 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
             raise InvalidArgumentError(f"config file {ns.config}: {exc}") from exc
         if not isinstance(file_layer, dict):
             raise InvalidArgumentError("config file must hold a JSON object")
-    flag_layer = {k: getattr(ns, k) for k in
-                  ("m", "bc", "n", "count", "k_max", "length", "lx", "ly", "seed",
-                   "perturb", "tol_zero", "tol_root", "tol_identity", "margin_factor")}
+    flag_layer = {k: getattr(ns, k) for k in CONFIG_DEFAULTS}
     cfg = validate_config(merge_config(file_layer, flag_layer))
     if ns.domain == "square":
         cfg = cfg.with_overrides(ly=cfg.lx)
@@ -126,13 +129,10 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def config_as_json(cfg: RunConfig) -> dict:
-    return {
-        "m": cfg.m, "bc": cfg.bc, "n": cfg.n, "count": cfg.count,
-        "k_max": cfg.k_max, "length": cfg.length, "lx": cfg.lx, "ly": cfg.ly,
-        "seed": cfg.seed, "perturb": cfg.perturb,
-        "tol_zero": cfg.tol.tol_zero, "tol_root": cfg.tol.tol_root,
-        "tol_identity": cfg.tol.tol_identity, "margin_factor": cfg.tol.margin_factor,
-    }
+    """The resolved configuration as one flat dict, tolerances inlined."""
+    out = asdict(cfg)
+    out.update(out.pop("tol"))
+    return out
 
 
 # --- serialization ----------------------------------------------------------
@@ -263,11 +263,7 @@ def _report_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
     workers = thread_count()
     if ns.command == "verify":
         tokens = [resolve_claim_id(t) for t in ns.claims]
-        if workers == 1 or len(tokens) == 1:
-            reports = [run_claim(t, cfg) for t in tokens]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(lambda t: run_claim(t, cfg), tokens))
+        reports = [run_claim(t, cfg) for t in tokens]
     else:
         reports = run_suite(cfg, max_workers=workers)
     passed = suite_passed(reports)

@@ -13,14 +13,12 @@ config-override) jobs; jobs of the same claim merge into a single report.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import comb, pi, sqrt
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import convolve2d
 
 from .galerkin import ConvergenceTable, convergence_study, solve_2d_eigensystem, solve_2d_spectrum
 from .model import (BC_DIRICHLET, BC_NEUMANN, CheckRecord, Domain, InvalidArgumentError,
@@ -232,12 +230,12 @@ def h0_sample_coeffs(m: int, count: int, seed: int, degree: int = 2) -> list[np.
     sample lies in H^(m+1)_0 of the reference square.
     """
     rng = np.random.default_rng(seed)
-    w1 = npoly.polypow([1.0, 0.0, -1.0], m + 1)
-    w2 = np.outer(w1, w1)
+    w = npoly.polypow([1.0, 0.0, -1.0], m + 1)
     out = []
     for _ in range(count):
         p = rng.standard_normal((degree + 1, degree + 1))
-        out.append(convolve2d(p, w2))
+        px = np.apply_along_axis(npoly.polymul, 0, p, w)
+        out.append(np.apply_along_axis(npoly.polymul, 1, px, w))
     return out
 
 
@@ -699,27 +697,16 @@ SUITE_JOBS: tuple[tuple[str, dict], ...] = (
 def run_suite(cfg: RunConfig, max_workers: Optional[int] = None) -> list[VerificationReport]:
     """Run the canonical suite and return one merged report per claim id.
 
-    Jobs execute concurrently when max_workers > 1; results are merged in the
-    fixed job order and reports sorted by claim id, so the output is
-    independent of scheduling.
+    Jobs run one after another in the fixed job order, results are merged in
+    that order and reports sorted by claim id.  max_workers is validated but
+    has no effect: claim threads measured slower than one thread, since the
+    solves already use the BLAS threads and the rest holds the GIL.
     """
-    jobs = [(cid, cfg.with_overrides(**ov)) for cid, ov in SUITE_JOBS]
-
-    def _run(job):
-        cid, job_cfg = job
-        return CLAIMS[cid].build(job_cfg)
-
     if max_workers is not None and max_workers < 1:
         raise InvalidArgumentError(f"thread count must be >= 1, got {max_workers}")
-    if max_workers == 1:
-        results = [_run(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_run, jobs))
-
     by_id: dict[str, list[VerificationReport]] = {}
-    for (cid, _), rep in zip(jobs, results):
-        by_id.setdefault(cid, []).append(rep)
+    for cid, ov in SUITE_JOBS:
+        by_id.setdefault(cid, []).append(CLAIMS[cid].build(cfg.with_overrides(**ov)))
     merged = []
     for cid in sorted(by_id):
         parts = by_id[cid]

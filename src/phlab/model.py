@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from math import comb, isfinite
 from typing import Optional
 
@@ -187,12 +187,7 @@ class Spectrum:
             "method": self.method.as_json(),
             "eigenvalues": [float(v) for v in self.values],
             "trusted_count": self.trusted_count,
-            "tolerances": {
-                "tol_zero": self.tol.tol_zero,
-                "tol_root": self.tol.tol_root,
-                "tol_identity": self.tol.tol_identity,
-                "margin_factor": self.tol.margin_factor,
-            },
+            "tolerances": asdict(self.tol),
         }
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from phlab import cli
 from phlab.harness import CLAIMS
-from phlab.model import BC_DIRICHLET, Domain, MethodInfo, Spectrum
+from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, Domain, MethodInfo, Spectrum,
+                         validate_config)
 from phlab.oned import positive_roots
 
 
@@ -24,6 +25,12 @@ def test_json17_rejects_non_finite():
     from phlab.model import NumericalError
     with pytest.raises(NumericalError):
         cli.dumps17(float("inf"))
+
+
+def test_config_json_keys_match_defaults():
+    echoed = cli.config_as_json(validate_config(dict(CONFIG_DEFAULTS)))
+    assert set(echoed) == set(CONFIG_DEFAULTS)
+    assert echoed == CONFIG_DEFAULTS
 
 
 def test_oned_json_schema(capsys):

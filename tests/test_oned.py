@@ -5,7 +5,7 @@ import pytest
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, InvalidArgumentError,
                          ToleranceConfig)
 from phlab.oned import (boundary_matrix, characteristic_roots, check_root_coincidence,
-                        det_indicator, positive_roots, real_solution_basis,
+                        det_indicator, positive_roots, solution_derivatives,
                         solve_1d_spectrum)
 
 # first positive roots of cos(b) cosh(b) = 1, frozen from a plain bisection
@@ -44,15 +44,20 @@ def test_characteristic_roots_real_count_by_parity():
 
 
 def test_real_solution_basis_solves_ode():
-    # numerically differentiate members 2m times and compare to (-1)^m lam u
-    for m, lam in ((1, 30.0), (2, 700.0)):
-        members = real_solution_basis(m, lam)
-        assert len(members) == 2 * m
-        x = 0.37
-        for mem in members:
-            d2m = mem.deriv(2 * m, x)
-            u = mem.deriv(0, x)
-            npt.assert_allclose(d2m, (-1.0) ** m * lam * u, rtol=1e-12, atol=1e-12)
+    # every member satisfies u^(2m) = (-1)^m lam u at an interior point, and
+    # each derivative order matches a central difference of the one below
+    h = 1e-5
+    for m, lam in ((1, 30.0), (2, 700.0), (3, 5e4)):
+        D = solution_derivatives(m, lam, np.arange(2 * m + 1), [0.37 - h, 0.37, 0.37 + h])
+        assert D.shape == (2 * m + 1, 3, 2 * m)
+        npt.assert_allclose(D[2 * m, 1], (-1.0) ** m * lam * D[0, 1], rtol=1e-12, atol=1e-12)
+        scale = np.abs(D[:, 1]).max(axis=1, keepdims=True)
+        npt.assert_allclose((D[:-1, 2] - D[:-1, 0]) / (2 * h) / scale[1:],
+                            D[1:, 1] / scale[1:], atol=1e-7)
+    # a stack of lam gives the same table as separate calls
+    lams = np.array([30.0, 700.0])
+    npt.assert_array_equal(solution_derivatives(2, lams, [1, 3], [0.0, 0.6])[1],
+                           solution_derivatives(2, 700.0, [1, 3], [0.0, 0.6]))
 
 
 def test_boundary_matrix_laplace_dirichlet():
@@ -69,6 +74,20 @@ def test_det_indicator_sign_change_at_root():
     assert s_lo * s_hi == -1
 
 
+def test_det_indicator_stack_matches_scalar_calls():
+    for m in (1, 2, 3):
+        for bc in (BC_DIRICHLET, BC_NEUMANN):
+            lams = np.linspace(1.0, 60.0, 7) ** (2 * m)
+            signs, logs = det_indicator(m, lams, bc)
+            assert signs.shape == logs.shape == lams.shape
+            for lam, s, lg in zip(lams, signs, logs):
+                s1, lg1 = det_indicator(m, float(lam), bc)
+                assert isinstance(s1, int) and isinstance(lg1, float)
+                assert s == s1 and lg == lg1
+            stacked = boundary_matrix(m, lams.reshape(7, 1), bc)
+            assert stacked.shape == (7, 1, 2 * m, 2 * m)
+
+
 def test_positive_roots_laplace_exact():
     k = np.arange(1, 11)
     lam_d = positive_roots(1, BC_DIRICHLET, 10)
@@ -80,6 +99,18 @@ def test_positive_roots_laplace_exact():
 def test_positive_roots_beam_oracle():
     lam = positive_roots(2, BC_DIRICHLET, 8)
     npt.assert_allclose(lam, BEAM_BETAS ** 4, rtol=1e-9)
+
+
+def test_sixty_roots_coincide_and_follow_asymptote():
+    # beta_k / pi -> k + (m-1)/2, exponentially fast for m >= 2
+    k = np.arange(1, 61)
+    for m in (1, 2, 3):
+        lam_d = positive_roots(m, BC_DIRICHLET, 60)
+        lam_n = positive_roots(m, BC_NEUMANN, 60)
+        npt.assert_allclose(lam_n, lam_d, rtol=1e-9)
+        dev = np.abs(lam_d ** (1.0 / (2 * m)) / np.pi - (k + 0.5 * (m - 1)))
+        assert dev.max() < 1e-2
+        assert dev[9:].max() < 1e-10
 
 
 def test_roots_are_simple():
