@@ -21,7 +21,7 @@ from .galerkin import (assemble_mass, assemble_pencil, assemble_stiffness,
                        trusted_capacity)
 from .harness import (ALIASES, CLAIMS, run_claim, run_suite, square_laplacian_eigs,
                       suite_passed)
-from .linalg import cholesky_lower, gauss_legendre, legendre_eval, solve_gen_eig
+from .linalg import gauss_legendre, legendre_eval, solve_gen_eig
 from .model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, CheckRecord, Domain,
                     GramDegeneracyError, InvalidArgumentError, MethodInfo,
                     NumericalError, PhlabError, RunConfig, Spectrum,
@@ -41,7 +41,7 @@ __all__ = [
     "MethodInfo", "NumericalError", "PhlabError", "RunConfig", "Spectrum",
     "ToleranceConfig", "TrialSpace", "VerificationReport", "assemble_mass",
     "assemble_pencil", "assemble_stiffness", "certified_chain_bound",
-    "characteristic_roots", "check_root_coincidence", "cholesky_lower",
+    "characteristic_roots", "check_root_coincidence",
     "convergence_study", "det_indicator", "gauss_legendre", "legendre_eval",
     "merge_config", "n_poly_dim", "positive_roots", "roots_of_unity",
     "run_claim", "run_suite", "select_omega", "solve_1d_spectrum",

@@ -22,7 +22,7 @@ from math import comb, floor
 
 import numpy as np
 
-from .linalg import force_symmetric, gauss_legendre, legendre_derivatives, solve_gen_eig
+from .linalg import force_hermitian, gauss_legendre, legendre_derivatives, solve_gen_eig
 from .model import (BC_NEUMANN, CapabilityError, Domain, InvalidArgumentError,
                     MethodInfo, NumericalError, Spectrum, ToleranceConfig, check_bc,
                     check_order, make_spectrum, n_poly_dim)
@@ -112,7 +112,7 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
     A *= jac
     B = jac * np.kron(G[0, 0], G[0, 0])
     return AssembledPencil(m=m, bc=bc, n=n, domain=domain,
-                           stiffness=force_symmetric(A), mass=force_symmetric(B))
+                           stiffness=force_hermitian(A), mass=force_hermitian(B))
 
 
 def assemble_stiffness(m: int, bc: str, n: int, domain: Domain) -> np.ndarray:
@@ -127,7 +127,7 @@ def assemble_mass(bc: str, n: int, domain: Domain, m: int) -> np.ndarray:
     if domain.shape != "rectangle" or n < 1:
         raise InvalidArgumentError("mass assembly needs a rectangle domain and n >= 1")
     G00 = derivative_grams(bc, m, n)[0, 0]
-    return force_symmetric(0.25 * domain.lx * domain.ly * np.kron(G00, G00))
+    return force_hermitian(0.25 * domain.lx * domain.ly * np.kron(G00, G00))
 
 
 def trusted_capacity(n: int) -> int:

@@ -1,14 +1,12 @@
-"""Dense numerical kernels: quadrature, Legendre evaluation, factorizations.
+"""Dense numerical kernels: quadrature, Legendre evaluation, eigensolves.
 
-Everything here works on plain ndarrays.  The generalized symmetric solve
-reduces the pencil to a standard symmetric problem through our own Cholesky
-factorization and hands only that dense symmetric problem to LAPACK.
+Everything here works on plain ndarrays.  Generalized Hermitian pencils,
+real or complex, are solved by one LAPACK call after a diagonal rescale.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
 
 from .model import CapabilityError, InvalidArgumentError, NumericalError
 
@@ -97,58 +95,19 @@ def legendre_eval(i: int, t: float, max_deriv: int) -> np.ndarray:
     return table[:, i, 0]
 
 
-def cholesky_lower(B: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
-
-    Left-looking column sweep; raises NumericalError naming the first pivot
-    that fails, which is how indefiniteness of an assembled mass matrix
-    surfaces.
-    """
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise InvalidArgumentError("cholesky_lower expects a square matrix")
-    n = B.shape[0]
-    L = np.zeros_like(B)
-    for j in range(n):
-        col = B[j:, j] - L[j:, :j] @ L[j, :j]
-        pivot = col[0]
-        if not np.isfinite(pivot) or pivot <= 0.0:
-            raise NumericalError(f"Cholesky pivot {j} is {pivot:.3e}, matrix not positive definite")
-        L[j, j] = np.sqrt(pivot)
-        L[j + 1:, j] = col[1:] / L[j, j]
-    return L
-
-
-def force_symmetric(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Symmetrize M after checking the asymmetry is roundoff-sized."""
-    M = np.asarray(M, dtype=float)
-    scale = np.max(np.abs(M), initial=0.0)
-    asym = np.max(np.abs(M - M.T), initial=0.0)
-    if scale > 0.0 and asym > rel_tol * scale:
-        raise NumericalError(f"matrix asymmetry {asym:.3e} exceeds {rel_tol:.1e} * scale")
-    return 0.5 * (M + M.T)
-
-
 def force_hermitian(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Hermitian counterpart of force_symmetric for complex assemblies."""
-    M = np.asarray(M, dtype=complex)
+    """Hermitian part of M, after checking the deviation is roundoff-sized.
+
+    Real input stays real (and comes back symmetric), complex input stays
+    complex.
+    """
+    M = np.asarray(M)
+    H = M.conj().T
     scale = np.max(np.abs(M), initial=0.0)
-    asym = np.max(np.abs(M - M.conj().T), initial=0.0)
+    asym = np.max(np.abs(M - H), initial=0.0)
     if scale > 0.0 and asym > rel_tol * scale:
         raise NumericalError(f"matrix deviation from Hermitian {asym:.3e} exceeds {rel_tol:.1e} * scale")
-    return 0.5 * (M + M.conj().T)
-
-
-def realify_hermitian(H: np.ndarray) -> np.ndarray:
-    """Real symmetric image [[Re H, -Im H], [Im H, Re H]] of a Hermitian matrix.
-
-    Each eigenvalue of H appears twice; eigenvectors x + iy map to stacked
-    real vectors (x, y), so generalized pencils can be solved in real
-    arithmetic.
-    """
-    H = np.asarray(H, dtype=complex)
-    R = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    return 0.5 * (R + R.T)
+    return 0.5 * (M + H)
 
 
 def min_singular_value(M: np.ndarray) -> float:
@@ -156,38 +115,39 @@ def min_singular_value(M: np.ndarray) -> float:
 
 
 def solve_gen_eig(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A v = w B v for symmetric A and symmetric positive definite B.
+    """Solve A v = w B v for Hermitian A and Hermitian positive definite B.
 
-    The pencil is first rescaled by the diagonal congruence d = diag(B)^(-1/2),
-    which leaves eigenvalues unchanged and tames the condition number of mass
-    matrices built from non-orthogonal shape functions.  Reduction to a
-    standard symmetric problem goes through cholesky_lower; the dense
-    symmetric eigensolve itself is LAPACK's.
+    Real symmetric input gives real eigenvectors and complex Hermitian input
+    complex ones.  The pencil is first rescaled by the diagonal congruence
+    d = diag(B)^(-1/2), which leaves eigenvalues unchanged and tames the
+    condition number of mass matrices built from non-orthogonal shape
+    functions.  The scaled pencil goes to one LAPACK divide-and-conquer
+    generalized solve (xSYGVD / xHEGVD through scipy.linalg.eigh), which reads
+    the lower triangle of each matrix; its failure, for instance when B is not
+    positive definite, is raised as NumericalError.
 
     Returns
     -------
     w : ndarray
         Eigenvalues in ascending order.
     V : ndarray
-        Columns are eigenvectors, B-orthonormal: V.T @ B @ V = I.
+        Columns are eigenvectors, B-orthonormal: V^H @ B @ V = I.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    # scipy.linalg takes a large share of the package import; only pencils need it
+    from scipy.linalg import LinAlgError, eigh
+
+    A = np.asarray(A)
+    B = np.asarray(B)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError("solve_gen_eig expects two square matrices of equal shape")
     if A.shape[0] > 2500:
         raise CapabilityError(f"pencil dimension {A.shape[0]} exceeds the supported cap 2500")
-    db = np.diag(B)
+    db = np.diag(B).real
     if np.any(db <= 0.0) or not np.all(np.isfinite(db)):
         raise NumericalError("mass matrix has a nonpositive diagonal entry")
     d = 1.0 / np.sqrt(db)
-    As = 0.5 * ((d[:, None] * A * d[None, :]) + (d[:, None] * A * d[None, :]).T)
-    Bs = 0.5 * ((d[:, None] * B * d[None, :]) + (d[:, None] * B * d[None, :]).T)
-    L = cholesky_lower(Bs)
-    Y = solve_triangular(L, As, lower=True)
-    C = solve_triangular(L, Y.T, lower=True).T
-    C = 0.5 * (C + C.T)
-    w, Q = eigh(C)
-    V = solve_triangular(L.T, Q, lower=False)
-    V = d[:, None] * V
-    return w, V
+    try:
+        w, V = eigh(d[:, None] * A * d[None, :], d[:, None] * B * d[None, :])
+    except LinAlgError as exc:
+        raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
+    return w, d[:, None] * V

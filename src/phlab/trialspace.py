@@ -19,8 +19,7 @@ in two dimensions.
 
 All derivatives in this module are closed-form; numerical differentiation is
 deliberately absent so identity residuals measure rounding, not truncation.
-Complex arithmetic stays inside this module: pencils are realified before
-they reach the eigensolver.
+Complex arithmetic stays inside this module and the Hermitian pencil solver.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from math import ceil, comb
 import numpy as np
 
 from .galerkin import Eigensystem2D, axis_rule, shape_derivatives
-from .linalg import force_hermitian, min_singular_value, realify_hermitian, solve_gen_eig
+from .linalg import force_hermitian, min_singular_value, solve_gen_eig
 from .model import (BC_DIRICHLET, GramDegeneracyError, InvalidArgumentError, NumericalError,
                     ToleranceConfig, check_order)
 
@@ -296,9 +295,9 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D, omega: np.ndarr
     The clamped eigenvectors are exact members of the essential-condition
     space, so all stiffness cross terms are plain integrals of order-m
     gradient contractions; no boundary terms arise.  Forms are Hermitian by
-    construction, realified, and solved with the dense symmetric pencil
-    solver; the certificate records the largest eigenvalue and the combined
-    basis conditioning.
+    construction and solved with the dense Hermitian pencil solver; the
+    certificate records the largest eigenvalue and the combined basis
+    conditioning.
     """
     m = check_order(m)
     if eigsys.pencil.bc != BC_DIRICHLET:
@@ -334,9 +333,7 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D, omega: np.ndarr
     for a in range(m + 1):
         S += comb(m, a) * (mixed[a] * w2d) @ mixed[a].conj().T
     M = (vals * w2d) @ vals.conj().T
-    S = force_hermitian(S)
-    M = force_hermitian(M)
-    w, _ = solve_gen_eig(realify_hermitian(S), realify_hermitian(M))
+    w, _ = solve_gen_eig(force_hermitian(S), force_hermitian(M))
     return ChainCertificate(m=m, k=k, lambda_hat=lambda_hat, omega=omega,
                             max_rayleigh=float(w[-1]), gram_min_sv=float(gram_min_sv),
                             dim_w=k + m, tol_identity=tol.tol_identity)

@@ -158,6 +158,17 @@ def test_out_path_failure_is_io_error(capsys):
     assert code == 3 and json.loads(err)["exit_code"] == 3
 
 
+def test_indefinite_mass_matrix_is_numerical_error(capsys):
+    # the m=3 clamped mass matrix at n=27 is indefinite in floating point
+    code, out, err = run_cli(capsys, "spectrum2d", "--m", "3", "--bc", "dirichlet",
+                             "--n", "27", "--count", "20")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    msg = json.loads(lines[0])
+    assert msg["exit_code"] == 3 and "not positive definite" in msg["error"]
+
+
 def test_out_file_written(tmp_path, capsys):
     dest = tmp_path / "spectrum.json"
     code, out, _ = run_cli(capsys, "oned", "--m", "1", "--bc", "dirichlet",
