@@ -16,9 +16,8 @@ import os
 # OpenBLAS, and a value the user set is kept.
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
-from .galerkin import (assemble_mass, assemble_pencil, assemble_stiffness,
-                       convergence_study, solve_2d_eigensystem, solve_2d_spectrum,
-                       trusted_capacity)
+from .galerkin import (assemble_pencil, convergence_study, solve_2d_eigensystem,
+                       solve_2d_spectrum, trusted_capacity)
 from .harness import (ALIASES, CLAIMS, run_claim, run_suite, square_laplacian_eigs,
                       suite_passed)
 from .linalg import gauss_legendre, legendre_eval, solve_gen_eig
@@ -30,8 +29,8 @@ from .model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, CheckRecord, Doma
 from .oned import (characteristic_roots, check_root_coincidence, det_indicator,
                    positive_roots, solve_1d_spectrum)
 from .trialspace import (TrialSpace, certified_chain_bound, roots_of_unity,
-                         select_omega, vandermonde_check,
-                         verify_mth_gradient_identity, verify_pde_identity)
+                         vandermonde_check, verify_mth_gradient_identity,
+                         verify_pde_identity)
 
 __version__ = "0.1.0"
 
@@ -39,12 +38,12 @@ __all__ = [
     "ALIASES", "BC_DIRICHLET", "BC_NEUMANN", "CLAIMS", "CapabilityError",
     "CheckRecord", "Domain", "GramDegeneracyError", "InvalidArgumentError",
     "MethodInfo", "NumericalError", "PhlabError", "RunConfig", "Spectrum",
-    "ToleranceConfig", "TrialSpace", "VerificationReport", "assemble_mass",
-    "assemble_pencil", "assemble_stiffness", "certified_chain_bound",
+    "ToleranceConfig", "TrialSpace", "VerificationReport",
+    "assemble_pencil", "certified_chain_bound",
     "characteristic_roots", "check_root_coincidence",
     "convergence_study", "det_indicator", "gauss_legendre", "legendre_eval",
     "merge_config", "n_poly_dim", "positive_roots", "roots_of_unity",
-    "run_claim", "run_suite", "select_omega", "solve_1d_spectrum",
+    "run_claim", "run_suite", "solve_1d_spectrum",
     "solve_2d_eigensystem", "solve_2d_spectrum", "solve_gen_eig",
     "square_laplacian_eigs", "suite_passed", "trusted_capacity",
     "validate_config", "vandermonde_check", "verify_mth_gradient_identity",

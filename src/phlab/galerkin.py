@@ -17,12 +17,13 @@ every integrand here exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, floor
 
 import numpy as np
 
-from .linalg import force_hermitian, gauss_legendre, legendre_derivatives, solve_gen_eig
+from .linalg import (check_pencil_dim, force_hermitian, gauss_legendre, legendre_derivatives,
+                     solve_gen_eig)
 from .model import (BC_NEUMANN, CapabilityError, Domain, InvalidArgumentError,
                     MethodInfo, NumericalError, Spectrum, ToleranceConfig, check_bc,
                     check_order, make_spectrum, n_poly_dim)
@@ -101,6 +102,7 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
         raise InvalidArgumentError("assembly needs a rectangle domain")
     if n < m + 1:
         raise InvalidArgumentError(f"need n >= m + 1 = {m + 1} shape functions per axis, got {n}")
+    check_pencil_dim(n * n)
     lx, ly = domain.lx, domain.ly
     sx, sy = 2.0 / lx, 2.0 / ly
     jac = 0.25 * lx * ly
@@ -113,21 +115,6 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
     B = jac * np.kron(G[0, 0], G[0, 0])
     return AssembledPencil(m=m, bc=bc, n=n, domain=domain,
                            stiffness=force_hermitian(A), mass=force_hermitian(B))
-
-
-def assemble_stiffness(m: int, bc: str, n: int, domain: Domain) -> np.ndarray:
-    return assemble_pencil(m, bc, n, domain).stiffness
-
-
-def assemble_mass(bc: str, n: int, domain: Domain, m: int) -> np.ndarray:
-    """Mass matrix of the tensor basis.  m is needed because the clamped
-    shape functions carry the boundary factor (1 - t^2)^m."""
-    check_bc(bc)
-    m = check_order(m)
-    if domain.shape != "rectangle" or n < 1:
-        raise InvalidArgumentError("mass assembly needs a rectangle domain and n >= 1")
-    G00 = derivative_grams(bc, m, n)[0, 0]
-    return force_hermitian(0.25 * domain.lx * domain.ly * np.kron(G00, G00))
 
 
 def trusted_capacity(n: int) -> int:
@@ -168,8 +155,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     probe_len = min(max(count, z + 1), w.size)
     full = make_spectrum(m, bc, domain, MethodInfo("Galerkin2D", n_per_axis=n),
                          w[:probe_len], trusted_count=probe_len, tol=tol)
-    spectrum = Spectrum(m=full.m, bc=full.bc, domain=full.domain, method=full.method,
-                        values=full.values[:count], trusted_count=count, tol=tol)
+    spectrum = replace(full, values=full.values[:count], trusted_count=count)
     return Eigensystem2D(pencil=pencil, spectrum=spectrum, vectors=V[:, :count])
 
 

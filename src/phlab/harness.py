@@ -24,7 +24,7 @@ from .galerkin import ConvergenceTable, convergence_study, solve_2d_eigensystem,
 from .model import (BC_DIRICHLET, BC_NEUMANN, CheckRecord, Domain, InvalidArgumentError,
                     RunConfig, Spectrum, VerificationReport, n_poly_dim)
 from .oned import check_root_coincidence, solve_1d_spectrum
-from .trialspace import (TrialSpace, certified_chain_bound, roots_of_unity, select_omega,
+from .trialspace import (GRAM_SV_FLOOR, TrialSpace, certified_chain_bound, roots_of_unity,
                          vandermonde_check, verify_mth_gradient_identity, verify_pde_identity)
 
 
@@ -94,11 +94,9 @@ def verify_theorem_main(spec_D: Spectrum, spec_N: Spectrum, conv: ConvergenceTab
         threshold = mf * float(conv.error_estimates[k - 1])
         records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs,
                                    slack=(rhs - lhs) - threshold))
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="theorem-strict",
         passed=all(r.slack > 0.0 for r in records),
-        margin=margin,
         details=tuple(records),
         notes=(f"free eigenvalue k+{m} versus clamped eigenvalue k on the rectangle; "
                f"strictness asserted only where the gap beats {mf:g} times the "
@@ -119,11 +117,9 @@ def verify_weak_minmax(spec_D: Spectrum, spec_N: Spectrum, k_max: int) -> Verifi
         lhs, rhs = spec_N.value(k), spec_D.value(k)
         records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs,
                                    slack=(rhs * (1.0 + 1e-9) - lhs) / rhs))
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="weak-minmax",
-        passed=margin >= 0.0,
-        margin=margin,
+        passed=all(r.slack >= 0.0 for r in records),
         details=tuple(records),
         notes="every trial space admissible for the clamped problem is admissible "
               "for the free one, so free eigenvalues sit below clamped ones at "
@@ -149,11 +145,9 @@ def verify_zero_modes(spec_N: Spectrum, d: int, m: int) -> VerificationReport:
                     slack=0.0 if found == expected else -abs(found - expected)),
         CheckRecord(k=2, lhs=first_pos, rhs=0.0, slack=first_pos),
     )
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="zero-modes",
         passed=found == expected and first_pos > 0.0,
-        margin=margin,
         details=records,
         notes=(f"d={d}, m={m}: the kernel of the free problem is the space of "
                f"polynomials of degree <= {m - 1}, dimension {expected}; "
@@ -261,11 +255,9 @@ def verify_interpolation(m: int, sample_count: int, seed: int) -> VerificationRe
         alt = laplacian_power_norm(C, m)
         rel = 0.0 if mid == 0.0 else abs(mid - alt) / mid
         records.append(CheckRecord(k=s, lhs=mid, rhs=alt, slack=1e-11 - rel))
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="interpolation",
-        passed=margin >= 0.0,
-        margin=margin,
+        passed=all(r.slack >= 0.0 for r in records),
         details=tuple(records),
         notes=(f"{sample_count} seeded samples at m={m}; per sample, the first "
                f"record is the geometric-mean bound between energies of orders "
@@ -299,11 +291,9 @@ def verify_root_monotonicity(conv_by_m: dict[int, ConvergenceTable],
             rhs = float(v_hi[k - 1]) ** (1.0 / m_hi)
             records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs,
                                        slack=(rhs * 1.01 - lhs) / rhs))
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="root-monotonicity",
-        passed=margin >= 0.0,
-        margin=margin,
+        passed=all(r.slack >= 0.0 for r in records),
         details=tuple(records),
         notes=(f"2m-th roots of clamped eigenvalues compared across orders "
                f"{orders}; both sides are converged upper bounds and the 1% "
@@ -339,11 +329,9 @@ def verify_convex_square(spec_N2: Spectrum, k_max: int) -> VerificationReport:
         rhs = float(mu1[k - 1]) ** 2
         records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs,
                                    slack=(rhs - lhs) / max(rhs, 1.0)))
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="convex-square",
-        passed=margin >= 0.0,
-        margin=margin,
+        passed=all(r.slack >= 0.0 for r in records),
         details=tuple(records),
         notes="computed order-2 free values (upper bounds) against the squares "
               "of exact order-1 free values of the unit square",
@@ -365,11 +353,9 @@ def conjecture_probe(spec_D: Spectrum, spec_N: Spectrum, d: int, m: int,
         lhs = spec_N.value(z + k)
         rhs = spec_D.value(k)
         records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=rhs - lhs))
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="conjecture-probe",
         passed=True,
-        margin=margin,
         details=tuple(records),
         notes=(f"conjecture - not asserted: free index shifted by the zero-mode "
                f"count {z} instead of m; margins are informational and this "
@@ -399,11 +385,9 @@ def oned_counterexample(k: int, npts: int = 100) -> VerificationReport:
         CheckRecord(k=k, lhs=float(trace), rhs=1e-14, slack=1e-14 - float(trace)),
         CheckRecord(k=k, lhs=resid, rhs=1e-14, slack=1e-14 - resid),
     )
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="oned-counterexample",
-        passed=margin >= 0.0,
-        margin=margin,
+        passed=all(r.slack >= 0.0 for r in records),
         details=records,
         notes="record 1: free-condition trace residual of cos(k pi x) at both "
               "endpoints, relative to k pi; record 2: pointwise residual of the "
@@ -507,11 +491,9 @@ def _build_trial_identities(cfg: RunConfig) -> VerificationReport:
         res_grad = verify_mth_gradient_identity(ts, points)
         records.append(CheckRecord(k=m, lhs=res_pde, rhs=1e-12, slack=1e-12 - res_pde))
         records.append(CheckRecord(k=m, lhs=res_grad, rhs=1e-12, slack=1e-12 - res_grad))
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="trial-identities",
-        passed=margin >= 0.0,
-        margin=margin,
+        passed=all(r.slack >= 0.0 for r in records),
         details=tuple(records),
         notes="per order m: pointwise residuals of the eigen-equation identity "
               "and of the m-th gradient magnitude identity for a seeded random "
@@ -526,19 +508,16 @@ def _build_chain(cfg: RunConfig) -> VerificationReport:
                                   count=cfg.k_max, tol=cfg.tol)
     records = []
     for k in range(1, cfg.k_max + 1):
-        lam = eigsys.spectrum.value(k)
-        omega = select_omega(cfg.m, lam, eigsys, k)
-        cert = certified_chain_bound(cfg.m, k, eigsys, omega, tol=cfg.tol)
+        cert = certified_chain_bound(cfg.m, k, eigsys, tol=cfg.tol)
+        lam = cert.lambda_hat
         rhs = lam * (1.0 + cfg.tol.tol_identity)
         records.append(CheckRecord(k=k, lhs=cert.max_rayleigh, rhs=rhs,
                                    slack=(rhs - cert.max_rayleigh) / lam))
-        records.append(CheckRecord(k=k, lhs=cert.gram_min_sv, rhs=1e-8,
-                                   slack=cert.gram_min_sv - 1e-8))
-    margin = min(r.slack for r in records)
+        records.append(CheckRecord(k=k, lhs=cert.gram_min_sv, rhs=GRAM_SV_FLOOR,
+                                   slack=cert.gram_min_sv - GRAM_SV_FLOOR))
     return VerificationReport(
         claim_id="chain-certificate",
-        passed=margin >= 0.0,
-        margin=margin,
+        passed=all(r.slack >= 0.0 for r in records),
         details=tuple(records),
         notes=(f"per k: largest Rayleigh quotient over the span of the first k "
                f"clamped eigenvectors plus the {cfg.m}-wave family at level "
@@ -558,12 +537,10 @@ def _build_vandermonde(cfg: RunConfig) -> VerificationReport:
         val = vandermonde_check(roots_of_unity(m))
         records.append(CheckRecord(k=m, lhs=val, rhs=exact,
                                    slack=1e-12 - abs(val - exact) / exact))
-    margin = min(r.slack for r in records)
     return VerificationReport(
         claim_id="vandermonde",
         passed=all(r.slack > 0.0 for r in records[:12]) and all(
             r.slack >= 0.0 for r in records[12:]),
-        margin=margin,
         details=tuple(records),
         notes="pairwise-difference products of the m-th roots of unity for "
               "m=1..12 (all strictly positive: the wave family is independent), "
@@ -586,7 +563,6 @@ def merge_reports(claim_id: str, parts: list[VerificationReport]) -> Verificatio
     return VerificationReport(
         claim_id=claim_id,
         passed=all(p.passed for p in parts),
-        margin=min(p.margin for p in parts),
         details=records,
         notes=notes,
         config_echo={"jobs": [p.config_echo for p in parts]},

@@ -110,6 +110,15 @@ def force_hermitian(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     return 0.5 * (M + H)
 
 
+MAX_PENCIL_DIM = 2500
+
+
+def check_pencil_dim(dim: int) -> None:
+    """Raise CapabilityError for a dense pencil dimension above MAX_PENCIL_DIM."""
+    if dim > MAX_PENCIL_DIM:
+        raise CapabilityError(f"pencil dimension {dim} exceeds the supported cap {MAX_PENCIL_DIM}")
+
+
 def min_singular_value(M: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(M), compute_uv=False)[-1])
 
@@ -140,8 +149,7 @@ def solve_gen_eig(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     B = np.asarray(B)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError("solve_gen_eig expects two square matrices of equal shape")
-    if A.shape[0] > 2500:
-        raise CapabilityError(f"pencil dimension {A.shape[0]} exceeds the supported cap 2500")
+    check_pencil_dim(A.shape[0])
     db = np.diag(B).real
     if np.any(db <= 0.0) or not np.all(np.isfinite(db)):
         raise NumericalError("mass matrix has a nonpositive diagonal entry")

@@ -247,10 +247,14 @@ class CheckRecord:
 class VerificationReport:
     claim_id: str
     passed: bool
-    margin: float
     details: tuple[CheckRecord, ...]
     notes: str = ""
     config_echo: dict = field(default_factory=dict)
+
+    @property
+    def margin(self) -> float:
+        """The worst slack over the records."""
+        return min(r.slack for r in self.details)
 
     def as_json(self) -> dict:
         return {

@@ -36,6 +36,8 @@ from .model import (BC_DIRICHLET, GramDegeneracyError, InvalidArgumentError, Num
                     ToleranceConfig, check_order)
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+GRAM_SV_FLOOR = 1e-8  # a combined basis at or below this is not (k+m)-dimensional
+MAX_DIRECTIONS = 64
 
 
 def roots_of_unity(m: int) -> np.ndarray:
@@ -232,37 +234,6 @@ def _normalized_gram_min_sv(w2d: np.ndarray, vals: np.ndarray) -> float:
     return min_singular_value(M / np.outer(d, d))
 
 
-def select_omega(m: int, lambda_hat: float, eigsys: Eigensystem2D, k: int,
-                 sv_tol: float = 1e-8, max_attempts: int = 64) -> np.ndarray:
-    """First golden-angle direction whose combined basis is safely independent.
-
-    Walks theta_t = t * pi (3 - sqrt(5)) and returns the first
-    omega = lambda_hat^(1/(2m)) (cos theta, sin theta) for which the Gram of
-    the normalized combined basis keeps its smallest singular value above
-    sv_tol.  Failing 64 well-spread angles would contradict the genericity of
-    the construction, so that is reported as a numerical failure, not retried.
-    """
-    check_order(m)
-    if not lambda_hat > 0.0:
-        raise InvalidArgumentError(f"lambda_hat must be positive, got {lambda_hat!r}")
-    if not 1 <= k <= eigsys.spectrum.trusted_count:
-        raise InvalidArgumentError(f"k={k} outside the trusted range of the eigensystem")
-    r = lambda_hat ** (1.0 / (2 * m))
-    pen = eigsys.pencil
-    lmax = max(pen.domain.lx, pen.domain.ly)
-    for t in range(max_attempts):
-        theta = t * GOLDEN_ANGLE
-        omega = np.array([r * np.cos(theta), r * np.sin(theta)])
-        nq = _chain_quad_floor(pen.n, omega, lmax)
-        w2d, vals, _ = _w_basis_grids(eigsys, k, omega, nq)
-        if _normalized_gram_min_sv(w2d, vals) > sv_tol:
-            return omega
-    raise NumericalError(
-        f"no direction out of {max_attempts} golden-angle candidates gave an "
-        f"independent combined basis; the discrete eigenvectors are suspect"
-    )
-
-
 @dataclass(frozen=True)
 class ChainCertificate:
     """Outcome of the discrete chain bound on W = span(u_1..u_k) + V_omega.
@@ -287,10 +258,16 @@ class ChainCertificate:
         return self.max_rayleigh <= self.lambda_hat * (1.0 + self.tol_identity)
 
 
-def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D, omega: np.ndarray,
-                          quad_nodes: int | None = None,
+def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D,
                           tol: ToleranceConfig = ToleranceConfig()) -> ChainCertificate:
     """Assemble the (k+m) x (k+m) forms on W and bound its Rayleigh quotient.
+
+    The direction walks theta_t = t * pi (3 - sqrt(5)) at radius
+    lambda_hat_k^(1/(2m)), and the first omega whose normalized combined
+    basis keeps its Gram's smallest singular value above GRAM_SV_FLOOR is
+    certified.  Failing MAX_DIRECTIONS well-spread angles would contradict
+    the genericity of the construction, so that is reported as a Gram
+    degeneracy, not retried.
 
     The clamped eigenvectors are exact members of the essential-condition
     space, so all stiffness cross terms are plain integrals of order-m
@@ -300,34 +277,28 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D, omega: np.ndarr
     conditioning.
     """
     m = check_order(m)
-    if eigsys.pencil.bc != BC_DIRICHLET:
+    pen = eigsys.pencil
+    if pen.bc != BC_DIRICHLET:
         raise InvalidArgumentError("chain bound needs the clamped eigensystem")
-    if eigsys.pencil.m != m:
+    if pen.m != m:
         raise InvalidArgumentError("order mismatch between m and the eigensystem")
     if not 1 <= k <= eigsys.spectrum.trusted_count:
         raise InvalidArgumentError(f"k={k} outside the trusted range")
     lambda_hat = eigsys.spectrum.value(k)
-    omega = np.asarray(omega, dtype=float)
-    level = float(np.hypot(omega[0], omega[1]) ** (2 * m))
-    if abs(level - lambda_hat) > 1e-12 * lambda_hat:
-        raise InvalidArgumentError(
-            f"|omega|^(2m) = {level!r} does not match the target eigenvalue {lambda_hat!r}"
-        )
-    pen = eigsys.pencil
+    r = lambda_hat ** (1.0 / (2 * m))
     lmax = max(pen.domain.lx, pen.domain.ly)
-    floor_nodes = _chain_quad_floor(pen.n, omega, lmax)
-    if quad_nodes is None:
-        quad_nodes = floor_nodes
-    elif quad_nodes < floor_nodes:
-        raise InvalidArgumentError(
-            f"quad_nodes={quad_nodes} below the oscillation-resolving floor {floor_nodes}"
-        )
-    w2d, vals, mixed = _w_basis_grids(eigsys, k, omega, quad_nodes)
-    gram_min_sv = _normalized_gram_min_sv(w2d, vals)
-    if gram_min_sv <= 1e-8:
+    for t in range(MAX_DIRECTIONS):
+        theta = t * GOLDEN_ANGLE
+        omega = np.array([r * np.cos(theta), r * np.sin(theta)])
+        w2d, vals, mixed = _w_basis_grids(eigsys, k, omega, _chain_quad_floor(pen.n, omega, lmax))
+        gram_min_sv = _normalized_gram_min_sv(w2d, vals)
+        if gram_min_sv > GRAM_SV_FLOOR:
+            break
+    else:
         raise GramDegeneracyError(
-            f"combined basis Gram smallest singular value {gram_min_sv:.3e} <= 1e-8; "
-            f"reselect omega"
+            f"no direction out of {MAX_DIRECTIONS} golden-angle candidates gave a combined "
+            f"basis Gram smallest singular value above {GRAM_SV_FLOOR:g}; the discrete "
+            f"eigenvectors are suspect"
         )
     S = np.zeros((k + m, k + m), dtype=complex)
     for a in range(m + 1):
@@ -337,31 +308,3 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D, omega: np.ndarr
     return ChainCertificate(m=m, k=k, lambda_hat=lambda_hat, omega=omega,
                             max_rayleigh=float(w[-1]), gram_min_sv=float(gram_min_sv),
                             dim_w=k + m, tol_identity=tol.tol_identity)
-
-
-def wave_gram_min_sv(m: int, omegas, domain_lx: float = 1.0, domain_ly: float = 1.0,
-                     n_ref: int = 8) -> float:
-    """Conditioning probe for unions of wave families V_omega over several omega.
-
-    Builds every wave of every listed direction on a quadrature grid sized
-    for the fastest oscillation and returns the normalized Gram's smallest
-    singular value.  Distinct generic directions must stay well independent.
-    """
-    check_order(m)
-    omegas = [np.asarray(o, dtype=float) for o in omegas]
-    if not omegas:
-        raise InvalidArgumentError("need at least one direction")
-    lmax = max(domain_lx, domain_ly)
-    nq = max(_chain_quad_floor(n_ref, o, lmax) for o in omegas)
-    xq, wxq = axis_rule(domain_lx, nq)
-    yq, wyq = axis_rule(domain_ly, nq)
-    X, Y = np.meshgrid(xq, yq, indexing="ij")
-    w2d = np.kron(wxq, wyq)
-    xi = roots_of_unity(m)
-    rows = []
-    for o in omegas:
-        dot = (o[0] * X + o[1] * Y).ravel()
-        for j in range(m):
-            rows.append(np.exp(1j * xi[j] * dot))
-    vals = np.vstack(rows)
-    return _normalized_gram_min_sv(w2d, vals)

@@ -18,7 +18,7 @@ from phlab.harness import (dm_norm_sq, h0_sample_coeffs, laplacian_power_norm,
 from phlab.model import BC_DIRICHLET, BC_NEUMANN, Domain
 from phlab.oned import positive_roots, solve_1d_spectrum
 from phlab.trialspace import (TrialSpace, certified_chain_bound, roots_of_unity,
-                              select_omega, vandermonde_check,
+                              vandermonde_check,
                               verify_mth_gradient_identity, verify_pde_identity)
 
 SQUARE = Domain.rectangle(1.0, 1.0)
@@ -122,8 +122,8 @@ def test_06_certified_chain_bound_on_square_plate():
     sysd = solve_2d_eigensystem(2, BC_DIRICHLET, 16, SQUARE, count=5)
     for k in range(1, 6):
         lam = sysd.spectrum.value(k)
-        omega = select_omega(2, lam, sysd, k)
-        cert = certified_chain_bound(2, k, sysd, omega)
+        cert = certified_chain_bound(2, k, sysd)
+        npt.assert_allclose(np.hypot(*cert.omega) ** 4, lam, rtol=1e-12)
         assert cert.max_rayleigh <= lam * (1.0 + 1e-8)
         assert cert.gram_min_sv > 1e-8
         assert cert.dim_w == k + 2

@@ -2,9 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phlab.galerkin import (assemble_mass, assemble_pencil, assemble_stiffness,
-                            convergence_study, derivative_grams, shape_derivatives,
-                            solve_2d_eigensystem, solve_2d_spectrum, trusted_capacity)
+from phlab import galerkin
+from phlab.galerkin import (assemble_pencil, convergence_study, derivative_grams,
+                            shape_derivatives, solve_2d_eigensystem, solve_2d_spectrum,
+                            trusted_capacity)
 from phlab.harness import square_laplacian_eigs
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, Domain,
                          InvalidArgumentError, n_poly_dim)
@@ -54,12 +55,13 @@ def test_pencil_shapes_and_definiteness():
             assert np.sum(np.abs(wA) < 1e-8 * wA.max()) == n_poly_dim(2, m)
 
 
-def test_assemble_helpers_match_pencil():
-    pen = assemble_pencil(2, BC_DIRICHLET, 5, Domain.rectangle(1.0, 2.0))
-    npt.assert_allclose(assemble_stiffness(2, BC_DIRICHLET, 5, Domain.rectangle(1.0, 2.0)),
-                        pen.stiffness)
-    npt.assert_allclose(assemble_mass(BC_DIRICHLET, 5, Domain.rectangle(1.0, 2.0), 2),
-                        pen.mass)
+def test_oversized_pencil_refused_before_assembly(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly started")
+
+    monkeypatch.setattr(galerkin, "derivative_grams", no_assembly)
+    with pytest.raises(CapabilityError, match="pencil dimension 2601 exceeds the supported cap 2500"):
+        solve_2d_eigensystem(1, BC_DIRICHLET, 51, SQUARE, count=1)
 
 
 def test_min_basis_size_enforced():

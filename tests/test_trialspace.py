@@ -2,13 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from phlab import trialspace
 from phlab.galerkin import solve_2d_eigensystem
 from phlab.model import (BC_NEUMANN, CapabilityError, Domain, GramDegeneracyError,
                          InvalidArgumentError)
 from phlab.trialspace import (TrialSpace, certified_chain_bound, mth_gradient_square,
-                              roots_of_unity, select_omega, trial_eval,
-                              vandermonde_check, verify_mth_gradient_identity,
-                              verify_pde_identity, wave_gram_min_sv)
+                              roots_of_unity, trial_eval, vandermonde_check,
+                              verify_mth_gradient_identity, verify_pde_identity)
 
 SQUARE = Domain.rectangle(1.0, 1.0)
 
@@ -81,22 +81,33 @@ def test_grouped_and_ungrouped_gradient_agree():
         assert np.abs(a - b).max() / scale < 1e-13
 
 
-def test_select_omega_hits_target_level():
+def test_chain_certificate_omega_hits_target_level():
     sysd = solve_2d_eigensystem(2, "dirichlet", 10, SQUARE, count=3)
-    lam = sysd.spectrum.value(2)
-    omega = select_omega(2, lam, sysd, 2)
-    level = np.hypot(*omega) ** 4
-    npt.assert_allclose(level, lam, rtol=1e-12)
-    with pytest.raises(InvalidArgumentError):
-        select_omega(2, -5.0, sysd, 2)
+    for k in (1, 2, 3):
+        cert = certified_chain_bound(2, k, sysd)
+        npt.assert_allclose(np.hypot(*cert.omega) ** 4, sysd.spectrum.value(k), rtol=1e-12)
+
+
+def test_chain_certificate_builds_grids_once(monkeypatch):
+    calls = []
+    build = trialspace._w_basis_grids
+
+    def counted(*args):
+        calls.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(trialspace, "_w_basis_grids", counted)
+    sysd = solve_2d_eigensystem(2, "dirichlet", 12, SQUARE, count=5)
+    for k in range(1, 6):
+        certified_chain_bound(2, k, sysd)
+    assert calls == [1, 2, 3, 4, 5]
 
 
 def test_chain_certificate_contents():
     for m, k, n in ((1, 3, 10), (2, 2, 10)):
         sysd = solve_2d_eigensystem(m, "dirichlet", n, SQUARE, count=k)
         lam = sysd.spectrum.value(k)
-        omega = select_omega(m, lam, sysd, k)
-        cert = certified_chain_bound(m, k, sysd, omega)
+        cert = certified_chain_bound(m, k, sysd)
         assert cert.dim_w == k + m
         assert cert.gram_min_sv > 1e-8
         assert cert.max_rayleigh <= lam * (1.0 + 1e-8)
@@ -105,39 +116,23 @@ def test_chain_certificate_contents():
 
 def test_chain_certificate_preconditions():
     sysd = solve_2d_eigensystem(2, "dirichlet", 8, SQUARE, count=2)
-    lam = sysd.spectrum.value(1)
-    good = select_omega(2, lam, sysd, 1)
     sysn = solve_2d_eigensystem(2, BC_NEUMANN, 8, SQUARE, count=4)
     with pytest.raises(InvalidArgumentError):
-        certified_chain_bound(2, 1, sysn, good)
+        certified_chain_bound(2, 1, sysn)
+    for k in (0, 3, 9):
+        with pytest.raises(InvalidArgumentError):
+            certified_chain_bound(2, k, sysd)
     with pytest.raises(InvalidArgumentError):
-        certified_chain_bound(2, 9, sysd, good)
-    with pytest.raises(InvalidArgumentError):
-        certified_chain_bound(2, 1, sysd, good * 1.5)
-    with pytest.raises(InvalidArgumentError):
-        certified_chain_bound(2, 1, sysd, good, quad_nodes=4)
+        certified_chain_bound(1, 1, sysd)
 
 
 def test_chain_gram_degeneracy_detected():
     # duplicating an eigenvector in the basis must trip the conditioning gate
+    # in every direction tried
     sysd = solve_2d_eigensystem(1, "dirichlet", 8, SQUARE, count=2)
-    lam = sysd.spectrum.value(2)
-    omega = select_omega(1, lam, sysd, 2)
     V = sysd.vectors.copy()
     V[:, 1] = V[:, 0]
     broken = type(sysd)(pencil=sysd.pencil, spectrum=sysd.spectrum, vectors=V)
     with pytest.raises(GramDegeneracyError):
-        certified_chain_bound(1, 2, broken, omega)
+        certified_chain_bound(1, 2, broken)
 
-
-def test_wave_families_at_distinct_angles_independent():
-    for m in (1, 2):
-        r = 6.0
-        th1, th2 = 0.3, 1.2
-        omegas = [r * np.array([np.cos(th1), np.sin(th1)]),
-                  r * np.array([np.cos(th2), np.sin(th2)])]
-        sv = wave_gram_min_sv(m, omegas)
-        assert sv > 1e-4
-        # coincident directions collapse the combined family
-        sv_same = wave_gram_min_sv(m, [omegas[0], omegas[0]])
-        assert sv_same < 1e-12
