@@ -20,7 +20,7 @@ from .galerkin import (assemble_pencil, convergence_study, solve_2d_eigensystem,
                        solve_2d_spectrum, trusted_capacity)
 from .harness import (ALIASES, CLAIMS, run_claim, run_suite, square_laplacian_eigs,
                       suite_passed)
-from .linalg import gauss_legendre, legendre_eval, solve_gen_eig
+from .linalg import gauss_legendre, solve_gen_eig
 from .model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, CheckRecord, Domain,
                     GramDegeneracyError, InvalidArgumentError, MethodInfo,
                     NumericalError, PhlabError, RunConfig, Spectrum,
@@ -41,7 +41,7 @@ __all__ = [
     "ToleranceConfig", "TrialSpace", "VerificationReport",
     "assemble_pencil", "certified_chain_bound",
     "characteristic_roots", "check_root_coincidence",
-    "convergence_study", "det_indicator", "gauss_legendre", "legendre_eval",
+    "convergence_study", "det_indicator", "gauss_legendre",
     "merge_config", "n_poly_dim", "positive_roots", "roots_of_unity",
     "run_claim", "run_suite", "solve_1d_spectrum",
     "solve_2d_eigensystem", "solve_2d_spectrum", "solve_gen_eig",

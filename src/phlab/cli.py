@@ -91,16 +91,16 @@ def _build_parser() -> _Parser:
     return top
 
 
-def thread_count() -> Optional[int]:
-    """Worker count from PHLAB_THREADS; default is the logical processor count.
+def check_thread_env() -> None:
+    """Refuse a PHLAB_THREADS value that is not a positive integer.
 
-    Claims run one after another whatever the count: the solves already use
+    Claims run one after another whatever the value: the solves already use
     the BLAS threads and the rest holds the GIL, so claim threads only added
     contention.  The variable is still validated so a malformed value fails.
     """
     raw = os.environ.get("PHLAB_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return
     try:
         val = int(raw)
     except ValueError:
@@ -108,7 +108,6 @@ def thread_count() -> Optional[int]:
     if val < 1:
         raise InvalidArgumentError(
             f"PHLAB_THREADS must be a positive integer, got {raw!r}")
-    return val
 
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
@@ -173,18 +172,6 @@ def spectrum_csv(spec: Spectrum) -> str:
     for k, v in enumerate(spec.values, start=1):
         lines.append(f"{k},{format(float(v), '.17g')}")
     return "\n".join(lines) + "\n"
-
-
-def parse_spectrum_csv(text: str) -> tuple[list[int], list[float]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "k,value":
-        raise InvalidArgumentError("CSV header must be exactly 'k,value'")
-    ks, vals = [], []
-    for ln in lines[1:]:
-        a, b = ln.split(",")
-        ks.append(int(a))
-        vals.append(float(b))
-    return ks, vals
 
 
 def _badge(passed: bool) -> str:
@@ -260,12 +247,12 @@ def _spectrum_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
 
 
 def _report_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
-    workers = thread_count()
+    check_thread_env()
     if ns.command == "verify":
         tokens = [resolve_claim_id(t) for t in ns.claims]
         reports = [run_claim(t, cfg) for t in tokens]
     else:
-        reports = run_suite(cfg, max_workers=workers)
+        reports = run_suite(cfg)
     passed = suite_passed(reports)
     runtime = None if ns.stable_output else int(round(1000.0 * (time.perf_counter() - t0)))
     default = "markdown" if ns.command == "report" else "json"

@@ -13,6 +13,11 @@ turns stiffness and mass into sums of Kronecker products of 1d derivative
 Gram matrices on the reference element, scaled by the affine map of each
 axis.  Quadrature uses n + 2m + 2 Gauss nodes per axis, which integrates
 every integrand here exactly.
+
+Shape function i has parity (-1)^i, so G_aa[i, j] vanishes unless i + j is
+even, and the pencil splits exactly into four blocks by (x parity, y parity).
+Only those are assembled, each goes to its own LAPACK generalized eigensolve,
+and the spectra are merged in a fixed order inside clusters of equal values.
 """
 
 from __future__ import annotations
@@ -58,21 +63,13 @@ def shape_derivatives(bc: str, m: int, n: int, t: np.ndarray, max_deriv: int) ->
     return out
 
 
-def derivative_grams(bc: str, m: int, n: int, quad_nodes: int | None = None) -> np.ndarray:
+def derivative_grams(bc: str, m: int, n: int) -> np.ndarray:
     """G[a, b, i, j] = integral over [-1,1] of phi_i^(a) phi_j^(b), 0 <= a,b <= m.
 
-    quad_nodes defaults to n + 2m + 2, the smallest count this module accepts;
-    the largest integrand degree is 2(n - 1) + 4m, so that rule is already
-    exact and a larger one only changes rounding.
+    The n + 2m + 2 point rule is exact: the largest integrand degree is
+    2(n - 1) + 4m.
     """
-    floor_nodes = n + 2 * m + 2
-    if quad_nodes is None:
-        quad_nodes = floor_nodes
-    elif quad_nodes < floor_nodes:
-        raise InvalidArgumentError(
-            f"quad_nodes={quad_nodes} below the exactness threshold {floor_nodes}"
-        )
-    t, w = gauss_legendre(quad_nodes)
+    t, w = gauss_legendre(n + 2 * m + 2)
     F = shape_derivatives(bc, m, n, t, max_deriv=m)
     return np.einsum("aiq,q,bjq->abij", F, w, F)
 
@@ -83,16 +80,31 @@ def axis_rule(length: float, nq: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * length * (t + 1.0), 0.5 * length * w
 
 
+# block order (x parity, y parity): ee, eo, oe, oo
+PARITY_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# relative gap below which merged eigenvectors follow block order: far below
+# tol_identity, far above the 5e-13 split of the square's clamped lambda_2 = lambda_3
+CLUSTER_RTOL = 1e-10
+
+
+@dataclass(frozen=True)
+class PencilBlock:
+    """One parity block: flat indices i1 * n + i2 of its shapes, and its pencil."""
+
+    index: np.ndarray
+    stiffness: np.ndarray
+    mass: np.ndarray
+
+
 @dataclass(frozen=True)
 class AssembledPencil:
-    """Stiffness/mass pair of the tensor-product space, flat index i1 * n + i2."""
+    """Stiffness/mass of the tensor-product space as four parity blocks."""
 
     m: int
     bc: str
     n: int
     domain: Domain
-    stiffness: np.ndarray
-    mass: np.ndarray
+    blocks: tuple[PencilBlock, ...]  # in PARITY_BLOCKS order
 
 
 def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
@@ -107,14 +119,16 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
     sx, sy = 2.0 / lx, 2.0 / ly
     jac = 0.25 * lx * ly
     G = derivative_grams(bc, m, n)
-    A = np.zeros((n * n, n * n))
-    for a in range(m + 1):
-        A += (comb(m, a) * sx ** (2 * a) * sy ** (2 * (m - a))
-              * np.kron(G[a, a], G[m - a, m - a]))
-    A *= jac
-    B = jac * np.kron(G[0, 0], G[0, 0])
-    return AssembledPencil(m=m, bc=bc, n=n, domain=domain,
-                           stiffness=force_hermitian(A), mass=force_hermitian(B))
+    blocks = []
+    for px, py in PARITY_BLOCKS:
+        Ix, Iy = np.arange(px, n, 2), np.arange(py, n, 2)
+        Gx, Gy = G[:, :, Ix[:, None], Ix[None, :]], G[:, :, Iy[:, None], Iy[None, :]]
+        A = jac * sum(comb(m, a) * sx ** (2 * a) * sy ** (2 * (m - a))
+                      * np.kron(Gx[a, a], Gy[m - a, m - a]) for a in range(m + 1))
+        B = jac * np.kron(Gx[0, 0], Gy[0, 0])
+        blocks.append(PencilBlock(index=(Ix[:, None] * n + Iy[None, :]).ravel(),
+                                  stiffness=force_hermitian(A), mass=force_hermitian(B)))
+    return AssembledPencil(m=m, bc=bc, n=n, domain=domain, blocks=tuple(blocks))
 
 
 def trusted_capacity(n: int) -> int:
@@ -148,7 +162,20 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
             f"count={count} exceeds the trusted capacity {cap} of n={n}; increase n"
         )
     pencil = assemble_pencil(m, bc, n, domain)
-    w, V = solve_gen_eig(pencil.stiffness, pencil.mass)
+    solved = [solve_gen_eig(b.stiffness, b.mass) for b in pencil.blocks]
+    w_all = np.concatenate([w for w, _ in solved])
+    order = np.argsort(w_all, kind="stable")
+    w = w_all[order]
+    # values stay ascending; inside a cluster the vectors follow the position
+    # in w_all, which is block order, then in-block order
+    cluster = np.cumsum(np.r_[False, np.diff(w) > CLUSTER_RTOL * np.abs(w[1:])])
+    pick = order[np.lexsort((order, cluster))][:count]
+    V = np.zeros((n * n, count))
+    start = 0
+    for b, (wb, Vb) in zip(pencil.blocks, solved):
+        cols = np.flatnonzero((pick >= start) & (pick < start + wb.size))
+        V[np.ix_(b.index, cols)] = Vb[:, pick[cols] - start]
+        start += wb.size
     # validate the zero block against the eigenvalue right after it, even when
     # the caller asked for fewer entries than the block holds
     z = n_poly_dim(2, m) if bc == BC_NEUMANN else 0
@@ -156,7 +183,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     full = make_spectrum(m, bc, domain, MethodInfo("Galerkin2D", n_per_axis=n),
                          w[:probe_len], trusted_count=probe_len, tol=tol)
     spectrum = replace(full, values=full.values[:count], trusted_count=count)
-    return Eigensystem2D(pencil=pencil, spectrum=spectrum, vectors=V[:, :count])
+    return Eigensystem2D(pencil=pencil, spectrum=spectrum, vectors=V)
 
 
 def solve_2d_spectrum(m: int, bc: str, n: int, domain: Domain = Domain.rectangle(),

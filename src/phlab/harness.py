@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb, pi, sqrt
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -670,16 +670,12 @@ SUITE_JOBS: tuple[tuple[str, dict], ...] = (
 )
 
 
-def run_suite(cfg: RunConfig, max_workers: Optional[int] = None) -> list[VerificationReport]:
+def run_suite(cfg: RunConfig) -> list[VerificationReport]:
     """Run the canonical suite and return one merged report per claim id.
 
     Jobs run one after another in the fixed job order, results are merged in
-    that order and reports sorted by claim id.  max_workers is validated but
-    has no effect: claim threads measured slower than one thread, since the
-    solves already use the BLAS threads and the rest holds the GIL.
+    that order and reports sorted by claim id.
     """
-    if max_workers is not None and max_workers < 1:
-        raise InvalidArgumentError(f"thread count must be >= 1, got {max_workers}")
     by_id: dict[str, list[VerificationReport]] = {}
     for cid, ov in SUITE_JOBS:
         by_id.setdefault(cid, []).append(CLAIMS[cid].build(cfg.with_overrides(**ov)))

@@ -83,18 +83,6 @@ def legendre_derivatives(num: int, t: np.ndarray, max_deriv: int) -> np.ndarray:
     return out
 
 
-def legendre_eval(i: int, t: float, max_deriv: int) -> np.ndarray:
-    """P_i(t) and its derivatives up to order max_deriv (<= 6), |t| <= 1."""
-    if i < 0:
-        raise InvalidArgumentError(f"polynomial index must be >= 0, got {i}")
-    if not 0 <= max_deriv <= 6:
-        raise InvalidArgumentError(f"max_deriv must be in 0..6, got {max_deriv}")
-    if abs(t) > 1.0:
-        raise InvalidArgumentError(f"evaluation point {t!r} outside [-1, 1]")
-    table = legendre_derivatives(i + 1, np.array([t]), max_deriv)
-    return table[:, i, 0]
-
-
 def force_hermitian(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
     """Hermitian part of M, after checking the deviation is roundoff-sized.
 

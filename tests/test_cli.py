@@ -1,13 +1,30 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from phlab import cli
 from phlab.harness import CLAIMS
-from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, Domain, MethodInfo, Spectrum,
-                         validate_config)
+from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, Domain, InvalidArgumentError,
+                         MethodInfo, Spectrum, validate_config)
 from phlab.oned import positive_roots
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def parse_spectrum_csv(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "k,value":
+        raise InvalidArgumentError("CSV header must be exactly 'k,value'")
+    ks, vals = [], []
+    for ln in lines[1:]:
+        a, b = ln.split(",")
+        ks.append(int(a))
+        vals.append(float(b))
+    return ks, vals
 
 
 def run_cli(capsys, *argv):
@@ -62,7 +79,7 @@ def test_csv_round_trip(capsys):
                            "--count", "6", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "k,value"
-    ks, vals = cli.parse_spectrum_csv(out)
+    ks, vals = parse_spectrum_csv(out)
     assert ks == list(range(1, 7))
     assert vals == [float(v) for v in positive_roots(1, BC_DIRICHLET, 6)]
 
@@ -73,7 +90,7 @@ def test_empty_spectrum_serializes():
                     trusted_count=0)
     doc = json.loads(cli.dumps17(spec.as_json()))
     assert doc["eigenvalues"] == []
-    assert cli.parse_spectrum_csv(cli.spectrum_csv(spec)) == ([], [])
+    assert parse_spectrum_csv(cli.spectrum_csv(spec)) == ([], [])
 
 
 def test_spectrum2d_json(capsys):
@@ -159,9 +176,10 @@ def test_out_path_failure_is_io_error(capsys):
 
 
 def test_indefinite_mass_matrix_is_numerical_error(capsys):
-    # the m=3 clamped mass matrix at n=27 is indefinite in floating point
+    # a parity block of the m=3 clamped mass matrix at n=40 is indefinite in
+    # floating point, at 1 and 2 BLAS threads alike
     code, out, err = run_cli(capsys, "spectrum2d", "--m", "3", "--bc", "dirichlet",
-                             "--n", "27", "--count", "20")
+                             "--n", "40", "--count", "20")
     assert code == 3 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
@@ -200,6 +218,27 @@ def test_thread_env_does_not_change_output(monkeypatch, capsys):
     monkeypatch.setenv("PHLAB_THREADS", "4")
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_chain_records_agree_across_blas_threads(m):
+    # k=2 sits on the degenerate level lambda_2 = lambda_3 of the square; its
+    # Gram record measures a basis of that eigenspace, which the parity-block
+    # merge fixes independently of rounding
+    docs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "phlab.cli", "verify", "chain",
+                               "--m", str(m), "--n", "16", "--k-max", "4", "--stable-output"],
+                              env=env, capture_output=True, text=True, check=True)
+        docs.append(json.loads(proc.stdout)["claims"][0]["details"])
+    one, two = docs
+    assert [r["k"] for r in one] == [r["k"] for r in two]
+    assert sum(r["k"] == 2 for r in one) == 2
+    for a, b in zip(one, two):
+        for key in ("lhs", "rhs"):
+            assert abs(a[key] - b[key]) <= 1e-8 * abs(b[key]), (a, b)
 
 
 def test_bad_thread_env_is_usage_error(monkeypatch, capsys):

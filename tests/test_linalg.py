@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from phlab.linalg import (force_hermitian, gauss_legendre, legendre_derivatives,
-                          legendre_eval, min_singular_value, solve_gen_eig)
+                          min_singular_value, solve_gen_eig)
 from phlab.model import CapabilityError, InvalidArgumentError, NumericalError
 
 
@@ -43,19 +43,11 @@ def test_legendre_recurrence_values():
 
 def test_legendre_endpoint_value():
     # P_i(1) = 1 and P_i'(1) = i(i+1)/2 for every order
+    table = legendre_derivatives(10, np.array([1.0]), 1)
     for i in (0, 1, 4, 9):
-        vals = legendre_eval(i, 1.0, 1)
+        vals = table[:, i, 0]
         assert abs(vals[0] - 1.0) < 1e-14
         assert abs(vals[1] - i * (i + 1) / 2.0) < 1e-11 * max(1.0, i * (i + 1) / 2.0)
-
-
-def test_legendre_eval_argument_checks():
-    with pytest.raises(InvalidArgumentError):
-        legendre_eval(-1, 0.0, 0)
-    with pytest.raises(InvalidArgumentError):
-        legendre_eval(2, 1.5, 0)
-    with pytest.raises(InvalidArgumentError):
-        legendre_eval(2, 0.0, 7)
 
 
 def test_solve_gen_eig_rejects_indefinite():
