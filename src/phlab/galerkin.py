@@ -170,7 +170,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     # in w_all, which is block order, then in-block order
     cluster = np.cumsum(np.r_[False, np.diff(w) > CLUSTER_RTOL * np.abs(w[1:])])
     pick = order[np.lexsort((order, cluster))][:count]
-    V = np.zeros((n * n, count))
+    V = np.zeros((n * n, count), order="F")  # columns contiguous, as eigh returns them
     start = 0
     for b, (wb, Vb) in zip(pencil.blocks, solved):
         cols = np.flatnonzero((pick >= start) & (pick < start + wb.size))
