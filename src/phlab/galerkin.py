@@ -16,8 +16,14 @@ every integrand here exactly.
 
 Shape function i has parity (-1)^i, so G_aa[i, j] vanishes unless i + j is
 even, and the pencil splits exactly into four blocks by (x parity, y parity).
-Only those are assembled, each goes to its own LAPACK generalized eigensolve,
-and the spectra are merged in a fixed order inside clusters of equal values.
+Each block's mass is a Kronecker product of two 1d mass blocks, so it is
+reduced to the identity one axis at a time (the generalized-eigenproblem
+form of the fast diagonalization of Lynch, Rice & Thomas, 1964): each 1d
+mass block is whitened by its own Cholesky factor, whose condition is the
+square root of the 2d one, and the whitened 1d Grams are combined into one
+standard symmetric matrix per block.  No n^2-sized stiffness or mass matrix
+is formed.  Each block goes to one symmetric eigensolve, and the spectra are
+merged in a fixed order inside clusters of equal values.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from math import comb, floor
 
 import numpy as np
 
-from .linalg import (check_pencil_dim, force_hermitian, gauss_legendre, legendre_derivatives,
-                     solve_gen_eig)
+from .linalg import (check_pencil_dim, force_hermitian, gauss_legendre, hermitian_eig,
+                     legendre_derivatives, mass_whitener)
 from .model import (BC_NEUMANN, CapabilityError, Domain, InvalidArgumentError,
                     MethodInfo, NumericalError, Spectrum, ToleranceConfig, check_bc,
                     check_order, make_spectrum, n_poly_dim)
@@ -63,15 +69,23 @@ def shape_derivatives(bc: str, m: int, n: int, t: np.ndarray, max_deriv: int) ->
     return out
 
 
+def derivative_factors(bc: str, m: int, n: int) -> np.ndarray:
+    """F[a, i, q] = phi_i^(a)(t_q) sqrt(w_q) on the n + 2m + 2 point Gauss rule.
+
+    G[a, b] = F[a] @ F[b].T is then the Gram of derivative_grams.
+    """
+    t, w = gauss_legendre(n + 2 * m + 2)
+    return shape_derivatives(bc, m, n, t, max_deriv=m) * np.sqrt(w)
+
+
 def derivative_grams(bc: str, m: int, n: int) -> np.ndarray:
     """G[a, b, i, j] = integral over [-1,1] of phi_i^(a) phi_j^(b), 0 <= a,b <= m.
 
     The n + 2m + 2 point rule is exact: the largest integrand degree is
     2(n - 1) + 4m.
     """
-    t, w = gauss_legendre(n + 2 * m + 2)
-    F = shape_derivatives(bc, m, n, t, max_deriv=m)
-    return np.einsum("aiq,q,bjq->abij", F, w, F)
+    F = derivative_factors(bc, m, n)
+    return np.einsum("aiq,bjq->abij", F, F)
 
 
 def axis_rule(length: float, nq: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,22 +103,48 @@ CLUSTER_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class PencilBlock:
-    """One parity block: flat indices i1 * n + i2 of its shapes, and its pencil."""
+    """One parity block, reduced to a standard symmetric eigenproblem.
+
+    index holds the flat indices i1 * n + i2 of the block's shapes.  The
+    block pencil (sum_a C(m,a) K^x_a (x) K^y_(m-a), M^x (x) M^y) of physical
+    1d stiffness and mass blocks has the eigenvalues of
+    matrix = sum_a C(m,a) R^x_a (x) R^y_(m-a), with R_a = W K_a W^T for the
+    whitener W of each axis (W M W^T = I, so R_0 = I).  An eigenvector y of
+    matrix gives the mass-orthonormal v = (back_x (x) back_y) y, back = W^T.
+    """
 
     index: np.ndarray
-    stiffness: np.ndarray
-    mass: np.ndarray
+    matrix: np.ndarray
+    back_x: np.ndarray
+    back_y: np.ndarray
 
 
 @dataclass(frozen=True)
 class AssembledPencil:
-    """Stiffness/mass of the tensor-product space as four parity blocks."""
+    """The tensor-product pencil as four reduced parity blocks."""
 
     m: int
     bc: str
     n: int
     domain: Domain
     blocks: tuple[PencilBlock, ...]  # in PARITY_BLOCKS order
+
+
+def _reduced_axis(G00: np.ndarray, F: np.ndarray, index: np.ndarray,
+                  s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened 1d Grams R[a] and back-transform W^T of one axis parity.
+
+    On an axis of length l = 2/s the physical Grams are K_a = s^(2a-1) G_aa
+    and the mass is M = G_00 / s, so W = sqrt(s) T for the whitener T of
+    G_00.  R[a] = Q_a Q_a^T with Q_a = s^a T F_a is symmetric by construction;
+    R[0] is set to the identity it equals in exact arithmetic.
+    """
+    T = mass_whitener(G00[np.ix_(index, index)])
+    R = [np.eye(index.size)]
+    for a in range(1, F.shape[0]):
+        Q = s ** a * (T @ F[a, index])
+        R.append(Q @ Q.T)
+    return np.array(R), np.sqrt(s) * T.T
 
 
 def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
@@ -115,19 +155,20 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
     if n < m + 1:
         raise InvalidArgumentError(f"need n >= m + 1 = {m + 1} shape functions per axis, got {n}")
     check_pencil_dim(n * n)
-    lx, ly = domain.lx, domain.ly
-    sx, sy = 2.0 / lx, 2.0 / ly
-    jac = 0.25 * lx * ly
     G = derivative_grams(bc, m, n)
+    for a in range(m + 1):
+        force_hermitian(G[a, a])  # the quadrature must give symmetric 1d Grams
+    F = derivative_factors(bc, m, n)
+    parity = [np.arange(p, n, 2) for p in (0, 1)]
+    x_axis = [_reduced_axis(G[0, 0], F, I, 2.0 / domain.lx) for I in parity]
+    y_axis = [_reduced_axis(G[0, 0], F, I, 2.0 / domain.ly) for I in parity]
     blocks = []
     for px, py in PARITY_BLOCKS:
-        Ix, Iy = np.arange(px, n, 2), np.arange(py, n, 2)
-        Gx, Gy = G[:, :, Ix[:, None], Ix[None, :]], G[:, :, Iy[:, None], Iy[None, :]]
-        A = jac * sum(comb(m, a) * sx ** (2 * a) * sy ** (2 * (m - a))
-                      * np.kron(Gx[a, a], Gy[m - a, m - a]) for a in range(m + 1))
-        B = jac * np.kron(Gx[0, 0], Gy[0, 0])
+        (Rx, Wx), (Ry, Wy) = x_axis[px], y_axis[py]
+        C = sum(comb(m, a) * np.kron(Rx[a], Ry[m - a]) for a in range(m + 1))
+        Ix, Iy = parity[px], parity[py]
         blocks.append(PencilBlock(index=(Ix[:, None] * n + Iy[None, :]).ravel(),
-                                  stiffness=force_hermitian(A), mass=force_hermitian(B)))
+                                  matrix=C, back_x=Wx, back_y=Wy))
     return AssembledPencil(m=m, bc=bc, n=n, domain=domain, blocks=tuple(blocks))
 
 
@@ -162,7 +203,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
             f"count={count} exceeds the trusted capacity {cap} of n={n}; increase n"
         )
     pencil = assemble_pencil(m, bc, n, domain)
-    solved = [solve_gen_eig(b.stiffness, b.mass) for b in pencil.blocks]
+    solved = [hermitian_eig(b.matrix) for b in pencil.blocks]
     w_all = np.concatenate([w for w, _ in solved])
     order = np.argsort(w_all, kind="stable")
     w = w_all[order]
@@ -172,9 +213,12 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     pick = order[np.lexsort((order, cluster))][:count]
     V = np.zeros((n * n, count), order="F")  # columns contiguous, as eigh returns them
     start = 0
-    for b, (wb, Vb) in zip(pencil.blocks, solved):
+    for b, (wb, Yb) in zip(pencil.blocks, solved):
         cols = np.flatnonzero((pick >= start) & (pick < start + wb.size))
-        V[np.ix_(b.index, cols)] = Vb[:, pick[cols] - start]
+        # back-transform only the picked columns, one axis at a time
+        Y = Yb[:, pick[cols] - start].reshape(b.back_x.shape[0], b.back_y.shape[0], cols.size)
+        V[np.ix_(b.index, cols)] = np.einsum("ik,jl,klc->ijc", b.back_x, b.back_y, Y,
+                                             optimize=True).reshape(b.index.size, cols.size)
         start += wb.size
     # validate the zero block against the eigenvalue right after it, even when
     # the caller asked for fewer entries than the block holds

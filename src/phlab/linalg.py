@@ -1,7 +1,9 @@
 """Dense numerical kernels: quadrature, Legendre evaluation, eigensolves.
 
-Everything here works on plain ndarrays.  Generalized Hermitian pencils,
-real or complex, are solved by one LAPACK call after a diagonal rescale.
+Everything here works on plain ndarrays and needs numpy only.  A Hermitian
+positive definite mass matrix is reduced to the identity by a whitener
+(diagonal rescale, Cholesky factor, one solve), which turns a generalized
+pencil, real or complex, into one standard Hermitian eigenproblem.
 """
 
 from __future__ import annotations
@@ -111,17 +113,45 @@ def min_singular_value(M: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(M), compute_uv=False)[-1])
 
 
+def mass_whitener(B: np.ndarray) -> np.ndarray:
+    """T with T @ B @ T^H = I, for Hermitian positive definite B.
+
+    B is first rescaled by the diagonal congruence d = diag(B)^(-1/2), which
+    tames the condition number of mass matrices built from non-orthogonal
+    shape functions; then T = L^(-1) diag(d) for the Cholesky factor
+    L L^H = d B d.  Only the lower triangle of B is read.  A nonpositive
+    diagonal or a failed factorization raises NumericalError.
+    """
+    B = np.asarray(B)
+    db = np.diag(B).real
+    if np.any(db <= 0.0) or not np.all(np.isfinite(db)):
+        raise NumericalError("mass matrix has a nonpositive diagonal entry")
+    d = 1.0 / np.sqrt(db)
+    try:
+        L = np.linalg.cholesky(d[:, None] * B * d[None, :])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("mass matrix is not positive definite") from exc
+    return np.linalg.solve(L, np.diag(d))
+
+
+def hermitian_eig(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of Hermitian C.
+
+    numpy's divide-and-conquer eigh, which reads the lower triangle; its
+    failure to converge is raised as NumericalError.
+    """
+    try:
+        return np.linalg.eigh(C)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolve failed: {exc}") from exc
+
+
 def solve_gen_eig(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve A v = w B v for Hermitian A and Hermitian positive definite B.
 
     Real symmetric input gives real eigenvectors and complex Hermitian input
-    complex ones.  The pencil is first rescaled by the diagonal congruence
-    d = diag(B)^(-1/2), which leaves eigenvalues unchanged and tames the
-    condition number of mass matrices built from non-orthogonal shape
-    functions.  The scaled pencil goes to one LAPACK divide-and-conquer
-    generalized solve (xSYGVD / xHEGVD through scipy.linalg.eigh), which reads
-    the lower triangle of each matrix; its failure, for instance when B is not
-    positive definite, is raised as NumericalError.
+    complex ones.  With the whitener T of B (see mass_whitener), the pencil
+    becomes the standard problem (T A T^H) y = w y, and v = T^H y.
 
     Returns
     -------
@@ -130,20 +160,11 @@ def solve_gen_eig(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     V : ndarray
         Columns are eigenvectors, B-orthonormal: V^H @ B @ V = I.
     """
-    # scipy.linalg takes a large share of the package import; only pencils need it
-    from scipy.linalg import LinAlgError, eigh
-
     A = np.asarray(A)
     B = np.asarray(B)
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError("solve_gen_eig expects two square matrices of equal shape")
     check_pencil_dim(A.shape[0])
-    db = np.diag(B).real
-    if np.any(db <= 0.0) or not np.all(np.isfinite(db)):
-        raise NumericalError("mass matrix has a nonpositive diagonal entry")
-    d = 1.0 / np.sqrt(db)
-    try:
-        w, V = eigh(d[:, None] * A * d[None, :], d[:, None] * B * d[None, :])
-    except LinAlgError as exc:
-        raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
-    return w, d[:, None] * V
+    T = mass_whitener(B)
+    w, Y = hermitian_eig(T @ A @ T.conj().T)
+    return w, T.conj().T @ Y

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from phlab import cli
+from phlab import cli, galerkin
 from phlab.harness import CLAIMS
 from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, Domain, InvalidArgumentError,
                          MethodInfo, Spectrum, validate_config)
@@ -175,16 +175,52 @@ def test_out_path_failure_is_io_error(capsys):
     assert code == 3 and json.loads(err)["exit_code"] == 3
 
 
-def test_indefinite_mass_matrix_is_numerical_error(capsys):
-    # a parity block of the m=3 clamped mass matrix at n=40 is indefinite in
-    # floating point, at 1 and 2 BLAS threads alike
+def test_indefinite_mass_matrix_is_numerical_error(monkeypatch, capsys):
+    # Grams whose mass has an indefinite (even, even) sub-block, diagonal
+    # still positive: the per-axis Cholesky breaks down, which is exit 3
+    grams = galerkin.derivative_grams
+
+    def indefinite_mass(bc, m, n):
+        G = grams(bc, m, n)
+        G[0, 0, 0, 2] = G[0, 0, 2, 0] = 2.0 * np.sqrt(G[0, 0, 0, 0] * G[0, 0, 2, 2])
+        return G
+
+    monkeypatch.setattr(galerkin, "derivative_grams", indefinite_mass)
     code, out, err = run_cli(capsys, "spectrum2d", "--m", "3", "--bc", "dirichlet",
-                             "--n", "40", "--count", "20")
+                             "--n", "12", "--count", "20")
     assert code == 3 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     msg = json.loads(lines[0])
     assert msg["exit_code"] == 3 and "not positive definite" in msg["error"]
+
+
+def test_clamped_m3_large_n_solves(capsys):
+    # the 2d block mass used to break down in Cholesky from about n=27; the
+    # per-axis factors have the square root of its condition number
+    def first_values(n, ly):
+        code, out, _ = run_cli(capsys, "spectrum2d", "--m", "3", "--bc", "dirichlet",
+                               "--n", str(n), "--count", "20", "--ly", str(ly),
+                               "--stable-output")
+        assert code == 0, (n, ly)
+        return json.loads(out)["eigenvalues"]
+
+    ref = first_values(24, 1.0)[0]
+    for n in (28, 40, 50):
+        assert abs(first_values(n, 1.0)[0] - ref) <= 1e-8 * ref
+        first_values(n, 0.5)
+
+
+def test_commands_do_not_load_scipy():
+    code = ("import sys\n"
+            "from phlab.cli import main\n"
+            "for argv in (['spectrum2d', '--m', '2', '--bc', 'neumann', '--n', '10'],\n"
+            "             ['verify', 'chain', '--m', '2', '--n', '12', '--k-max', '3']):\n"
+            "    assert main(argv + ['--stable-output']) == 0, argv\n"
+            "assert 'scipy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_file_written(tmp_path, capsys):

@@ -58,16 +58,16 @@ def test_pencil_shapes_and_definiteness():
                                np.arange(36))
         kernel = 0
         for blk in pen.blocks:
-            assert blk.stiffness.shape == blk.mass.shape == (9, 9)
-            npt.assert_allclose(blk.stiffness, blk.stiffness.T)
-            assert np.linalg.eigvalsh(blk.mass).min() > 0.0
-            wA = np.linalg.eigvalsh(blk.stiffness)
+            assert blk.matrix.shape == (9, 9)
+            assert blk.back_x.shape == blk.back_y.shape == (3, 3)
+            npt.assert_array_equal(blk.matrix, blk.matrix.T)
+            wC = np.linalg.eigvalsh(blk.matrix)
             if bc == BC_DIRICHLET:
-                assert wA.min() > 0.0
+                assert wC.min() > 0.0
             else:
                 # PSD; the kernels of the blocks add up to the polynomial dimension
-                assert wA.min() > -1e-8 * wA.max()
-                kernel += np.sum(np.abs(wA) < 1e-8 * wA.max())
+                assert wC.min() > -1e-8 * wC.max()
+                kernel += np.sum(np.abs(wC) < 1e-8 * wC.max())
         if bc == BC_NEUMANN:
             assert kernel == n_poly_dim(2, m)
 
@@ -79,13 +79,16 @@ def test_parity_blocks_match_full_pencil():
         for m in (1, 2, 3):
             for bc in (BC_DIRICHLET, BC_NEUMANN):
                 A, B = full_pencil(m, bc, n, dom)
-                # the blocks are the full pencil on their index sets; what they
-                # drop is quadrature rounding of entries that vanish exactly
+                # the back-transform of each block takes the full stiffness on
+                # its index set to the block's matrix (to the rounding of the
+                # check's own products, measured 2.5e-12); what the blocks drop
+                # is quadrature rounding of entries that vanish exactly
                 kept = np.zeros_like(A, dtype=bool)
                 for blk in assemble_pencil(m, bc, n, dom).blocks:
                     ix = np.ix_(blk.index, blk.index)
-                    npt.assert_allclose(blk.stiffness, A[ix], rtol=1e-13, atol=1e-13 * np.abs(A).max())
-                    npt.assert_allclose(blk.mass, B[ix], rtol=1e-13, atol=1e-13 * np.abs(B).max())
+                    W = np.kron(blk.back_x, blk.back_y)
+                    C = blk.matrix
+                    npt.assert_allclose(W.T @ A[ix] @ W, C, atol=1e-10 * np.abs(C).max())
                     kept[ix] = True
                 assert np.abs(A[~kept]).max() < 1e-13 * np.abs(A).max()
                 assert np.abs(B[~kept]).max() < 1e-13 * np.abs(B).max()
@@ -94,9 +97,9 @@ def test_parity_blocks_match_full_pencil():
                 w_full, _ = solve_gen_eig(A, B)
                 ref = sys.spectrum.values[sys.spectrum.zero_count]
                 npt.assert_allclose(sys.spectrum.values, w_full[:cap], rtol=1e-9, atol=1e-9 * ref)
-                # the scattered vectors are B-orthonormal against the full mass:
-                # to 1e-12 over the first 20, to the solver's own 1e-10 (reached
-                # by the full solve too at m=3 clamped) over the trusted range
+                # the back-transformed vectors are B-orthonormal against the
+                # full mass: to 1e-12 over the first 20, to 1e-10 over the
+                # trusted range
                 V = sys.vectors
                 npt.assert_allclose(V[:, :20].T @ B @ V[:, :20], np.eye(20), atol=1e-12)
                 npt.assert_allclose(V.T @ B @ V, np.eye(cap), atol=1e-10)

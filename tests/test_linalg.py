@@ -55,6 +55,15 @@ def test_solve_gen_eig_rejects_indefinite():
         solve_gen_eig(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+def test_eigensolve_failure_is_numerical_error(monkeypatch):
+    def no_convergence(C):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(NumericalError, match="eigensolve failed"):
+        solve_gen_eig(np.eye(2), np.eye(2))
+
+
 def test_force_symmetric_rejects_gross_asymmetry():
     with pytest.raises(NumericalError):
         force_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
