@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -89,25 +88,6 @@ def _build_parser() -> _Parser:
     sub.add_parser("all", parents=[common],
                    help="run the full verification suite")
     return top
-
-
-def check_thread_env() -> None:
-    """Refuse a PHLAB_THREADS value that is not a positive integer.
-
-    Claims run one after another whatever the value: the solves already use
-    the BLAS threads and the rest holds the GIL, so claim threads only added
-    contention.  The variable is still validated so a malformed value fails.
-    """
-    raw = os.environ.get("PHLAB_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-    except ValueError:
-        val = 0
-    if val < 1:
-        raise InvalidArgumentError(
-            f"PHLAB_THREADS must be a positive integer, got {raw!r}")
 
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
@@ -247,7 +227,6 @@ def _spectrum_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
 
 
 def _report_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
-    check_thread_env()
     if ns.command == "verify":
         tokens = [resolve_claim_id(t) for t in ns.claims]
         reports = [run_claim(t, cfg) for t in tokens]

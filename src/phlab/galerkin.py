@@ -240,9 +240,8 @@ def solve_2d_spectrum(m: int, bc: str, n: int, domain: Domain = Domain.rectangle
 class ConvergenceTable:
     """Discrete eigenvalues across increasing n, with last-step differences.
 
-    error_estimates[k] = |values[-1, k] - values[-2, k]| is the convergence
-    based error proxy used when a strictness margin has to beat
-    discretization error.
+    error_estimates[k] = |values[-1, k] - values[-2, k]| is a convergence
+    based proxy for the discretization error, reported in claim notes.
     """
 
     m: int

@@ -28,20 +28,22 @@ from .trialspace import (GRAM_SV_FLOOR, TrialSpace, certified_chain_bound, roots
                          vandermonde_check, verify_mth_gradient_identity, verify_pde_identity)
 
 
-def square_laplacian_eigs(bc: str, count: int, side: float = 1.0) -> np.ndarray:
-    """Exact m=1 eigenvalues of the side-length `side` square by enumeration.
+def square_laplacian_eigs(bc: str, count: int, lx: float = 1.0, ly: float = 1.0) -> np.ndarray:
+    """Exact m=1 eigenvalues of the lx x ly rectangle by enumeration.
 
-    Dirichlet: pi^2 (p^2 + q^2) / side^2 over p, q >= 1; the free problem
-    admits p, q >= 0.  Sorted ascending; the reference every m=1 result is
-    judged against.
+    Dirichlet: pi^2 (p^2 / lx^2 + q^2 / ly^2) over p, q >= 1; the free
+    problem admits p, q >= 0.  The first `count` values along either axis
+    bound the count-th value from above, and every (p, q) at or below that
+    bound is enumerated, so the result is complete at any aspect ratio.
+    Sorted ascending; the reference every m=1 result is judged against.
     """
     lo = 1 if bc == BC_DIRICHLET else 0
-    r = int(np.ceil(np.sqrt(count))) + lo + 3
-    vals = sorted((pi / side) ** 2 * (p * p + q * q)
-                  for p in range(lo, r) for q in range(lo, r))
-    if len(vals) < count:
-        raise InvalidArgumentError(f"enumeration range too small for count={count}")
-    return np.asarray(vals[:count])
+    top = pi ** 2 * min((lo + count - 1) ** 2 / lx ** 2 + lo * lo / ly ** 2,
+                        lo * lo / lx ** 2 + (lo + count - 1) ** 2 / ly ** 2)
+    p = np.arange(lo, lo + 2 + int(lx * sqrt(top) / pi))
+    q = np.arange(lo, lo + 2 + int(ly * sqrt(top) / pi))
+    vals = pi ** 2 * (p[:, None] ** 2 / lx ** 2 + q[None, :] ** 2 / ly ** 2)
+    return np.sort(vals, axis=None)[:count]
 
 
 def _require_matched(spec_D: Spectrum, spec_N: Spectrum) -> None:
@@ -64,46 +66,47 @@ def _scaled_positive(spec: Spectrum, factor: float) -> Spectrum:
 # individual claims
 
 
-def verify_theorem_main(spec_D: Spectrum, spec_N: Spectrum, conv: ConvergenceTable,
-                        k_max: int) -> VerificationReport:
-    """Strict shifted comparison mu_hat_{k+m} < lambda_hat_k with a margin rule.
+def verify_theorem_main(spec_N: Spectrum, k_max: int) -> VerificationReport:
+    """Certificate of the strict shifted comparison mu_{k+m} < lambda_k.
 
-    Both computed spectra are upper bounds of their true counterparts, so a
-    strict inequality between true values is only asserted when the measured
-    gap exceeds margin_factor times the convergence-difference estimate of
-    lambda_hat_k.  The report records gap and threshold per k.
+    On H^m_0 the clamped form equals ||(-Lap_D)^(m/2) u||^2, so min-max gives
+    lambda_k >= nu_k^m with nu_k the exact Dirichlet Laplacian eigenvalues of
+    the rectangle.  The computed mu_hat_{k+m} is an upper bound of the true
+    free eigenvalue, so mu_hat_{k+m} < nu_k^m certifies the inequality for the
+    true spectra.  The gap must also beat margin_factor times the rounding
+    tol_zero * mu_hat_{z+1}, z = n_poly_dim(2, m), that the spectrum already
+    accepts in its zero block.
     """
-    _require_matched(spec_D, spec_N)
-    if spec_D.domain.dimension != 2:
+    if spec_N.bc != BC_NEUMANN:
+        raise InvalidArgumentError("the comparison needs the free spectrum")
+    if spec_N.domain.dimension != 2:
         raise InvalidArgumentError(
             "interval domains are excluded: there the free eigenvalue with index "
             "k+m equals the clamped k-th eigenvalue exactly, so no strict gap exists"
         )
-    m = spec_D.m
-    if k_max < 1 or k_max + m > spec_N.trusted_count or k_max > spec_D.trusted_count:
-        raise InvalidArgumentError(f"k_max={k_max} outside the trusted ranges")
-    if (conv.m, conv.bc, conv.domain) != (m, BC_DIRICHLET, spec_D.domain):
-        raise InvalidArgumentError("convergence table does not match the clamped spectrum")
-    if conv.values.shape[1] < k_max:
-        raise InvalidArgumentError("convergence table holds fewer eigenvalues than k_max")
-    mf = spec_D.tol.margin_factor
+    m, dom = spec_N.m, spec_N.domain
+    z = n_poly_dim(2, m)
+    if k_max < 1 or max(k_max + m, z + 1) > spec_N.trusted_count:
+        raise InvalidArgumentError(f"k_max={k_max} outside the trusted range")
+    nu = square_laplacian_eigs(BC_DIRICHLET, k_max, dom.lx, dom.ly)
+    tol, mf = spec_N.tol.tol_zero, spec_N.tol.margin_factor
+    rounding = mf * tol * spec_N.value(z + 1)
     records = []
     for k in range(1, k_max + 1):
         lhs = spec_N.value(k + m)
-        rhs = spec_D.value(k)
-        threshold = mf * float(conv.error_estimates[k - 1])
-        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs,
-                                   slack=(rhs - lhs) - threshold))
+        rhs = float(nu[k - 1]) ** m
+        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs - lhs) - rounding))
     return VerificationReport(
         claim_id="theorem-strict",
         passed=all(r.slack > 0.0 for r in records),
         details=tuple(records),
-        notes=(f"free eigenvalue k+{m} versus clamped eigenvalue k on the rectangle; "
-               f"strictness asserted only where the gap beats {mf:g} times the "
-               f"per-k convergence difference from n={conv.n_list}"),
-        config_echo={"m": m, "domain": spec_D.domain.as_json(),
-                     "n": spec_D.method.n_per_axis, "k_max": k_max,
-                     "n_list": list(conv.n_list), "margin_factor": mf},
+        notes=(f"computed free eigenvalue k+{m} (an upper bound) against nu_k^{m}, the "
+               f"power {m} of the exact Dirichlet Laplacian eigenvalue k, a lower bound "
+               f"of the clamped eigenvalue k (lambda_k >= nu_k^{m}); each gap must beat "
+               f"{mf:g} * tol_zero * mu_hat_{z + 1} = {rounding:.3e}, the rounding the "
+               f"free spectrum accepts in its zero block"),
+        config_echo={"m": m, "domain": dom.as_json(), "n": spec_N.method.n_per_axis,
+                     "k_max": k_max, "margin_factor": mf, "tol_zero": tol},
     )
 
 
@@ -405,9 +408,9 @@ def _square(cfg: RunConfig) -> Domain:
 
 
 def _default_n_list(n: int, m: int) -> list[int]:
-    cands = sorted({c for c in (n - 8, n - 4, n) if c >= m + 2})
-    if len(cands) >= 2:
-        return cands
+    """The two grids of a convergence table that ends at n."""
+    if n - 4 >= m + 2:
+        return [n - 4, n]
     return sorted({max(m + 2, n - 2), n})
 
 
@@ -430,14 +433,9 @@ def _build_zero_modes(cfg: RunConfig) -> VerificationReport:
 
 
 def _build_theorem(cfg: RunConfig) -> VerificationReport:
-    dom = _square(cfg)
-    n_list = _default_n_list(cfg.n, cfg.m)
-    conv = convergence_study(cfg.m, BC_DIRICHLET, dom, n_list, count=cfg.k_max, tol=cfg.tol)
-    spec_D = solve_2d_spectrum(cfg.m, BC_DIRICHLET, cfg.n, dom, count=cfg.k_max, tol=cfg.tol)
-    spec_N = solve_2d_spectrum(cfg.m, BC_NEUMANN, cfg.n, dom, count=cfg.k_max + cfg.m,
-                               tol=cfg.tol)
-    spec_N = _scaled_positive(spec_N, 1.0 + cfg.perturb)
-    return verify_theorem_main(spec_D, spec_N, conv, cfg.k_max)
+    count = max(cfg.k_max + cfg.m, n_poly_dim(2, cfg.m) + 1)
+    spec_N = solve_2d_spectrum(cfg.m, BC_NEUMANN, cfg.n, _square(cfg), count=count, tol=cfg.tol)
+    return verify_theorem_main(_scaled_positive(spec_N, 1.0 + cfg.perturb), cfg.k_max)
 
 
 def _build_weak(cfg: RunConfig) -> VerificationReport:
@@ -457,7 +455,7 @@ def _build_monotonicity(cfg: RunConfig) -> VerificationReport:
     tables = {}
     for m in (1, 2, 3):
         n = min(cfg.n, 14) if m == 3 else cfg.n
-        tables[m] = convergence_study(m, BC_DIRICHLET, dom, _default_n_list(n, m)[-2:],
+        tables[m] = convergence_study(m, BC_DIRICHLET, dom, _default_n_list(n, m),
                                       count=cfg.k_max, tol=cfg.tol)
     return verify_root_monotonicity(tables, cfg.k_max)
 
@@ -601,7 +599,8 @@ CLAIMS: dict[str, ClaimSpec] = {
                   _build_monotonicity),
         ClaimSpec("theorem-strict",
                   "free eigenvalues shifted by m sit strictly below clamped ones "
-                  "on rectangles, by a margin dominating discretization error",
+                  "on rectangles, certified against the exact lower bound nu_k^m "
+                  "of the clamped ones",
                   _build_theorem),
         ClaimSpec("trial-identities",
                   "closed-form wave identities hold at rounding level",

@@ -8,6 +8,8 @@ pencil, real or complex, into one standard Hermitian eigenproblem.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .model import CapabilityError, InvalidArgumentError, NumericalError
@@ -17,7 +19,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
     Newton iteration on P_n from the Chebyshev-like initial guess; exact for
-    polynomials of degree <= 2n - 1.
+    polynomials of degree <= 2n - 1.  Each rule is computed once per process
+    and shared, so the returned arrays are read-only.
 
     Parameters
     ----------
@@ -31,6 +34,11 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 1 <= n <= 256:
         raise CapabilityError(f"quadrature size n={n} outside the supported range 1..256")
+    return _gauss_legendre_rule(n)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (i - 0.25) / (n + 0.5))
     for _ in range(100):
@@ -57,7 +65,10 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     dpn = n * (x * p1 - p0) / (x * x - 1.0) if n > 1 else np.ones_like(x)
     w = 2.0 / ((1.0 - x * x) * dpn * dpn)
     order = np.argsort(x)
-    return x[order], w[order]
+    x, w = x[order], w[order]
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def legendre_derivatives(num: int, t: np.ndarray, max_deriv: int) -> np.ndarray:

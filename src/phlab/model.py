@@ -69,7 +69,7 @@ class ToleranceConfig:
     tol_zero      relative threshold for clamping near-zero eigenvalues
     tol_root      relative width target for 1d root bisection
     tol_identity  bound for pointwise identity residuals in the trial space
-    margin_factor strictness safety factor against discretization error
+    margin_factor strictness safety factor against rounding in theorem-strict
     """
 
     tol_zero: float = 1e-6

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phlab.galerkin import convergence_study, solve_2d_spectrum
+from phlab.galerkin import solve_2d_spectrum
 from phlab.harness import (ALIASES, CLAIMS, SUITE_JOBS, conjecture_probe,
                            dm_norm_sq, h0_sample_coeffs, laplacian_power_norm,
                            merge_reports, oned_counterexample, resolve_claim_id,
@@ -25,6 +25,15 @@ def test_square_enumeration_values():
     npt.assert_allclose(d / np.pi ** 2, [2, 5, 5, 8, 10, 10], rtol=1e-14)
     n = square_laplacian_eigs(BC_NEUMANN, 6)
     npt.assert_allclose(n / np.pi ** 2, [0, 1, 1, 2, 4, 4], rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("lx, ly", [(1.0, 1.0), (1.0, 0.5), (0.2, 1.0), (1.0, 0.2)])
+@pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_NEUMANN])
+def test_rectangle_enumeration_matches_brute_force(bc, lx, ly):
+    lo = 1 if bc == BC_DIRICHLET else 0
+    brute = sorted(np.pi ** 2 * (p * p / lx ** 2 + q * q / ly ** 2)
+                   for p in range(lo, 60) for q in range(lo, 60))
+    npt.assert_allclose(square_laplacian_eigs(bc, 40, lx, ly), brute[:40], rtol=1e-14)
 
 
 def test_polynomial_energy_hand_case():
@@ -51,21 +60,29 @@ def test_interpolation_claim_records():
 
 
 def test_theorem_claim_rejects_interval():
-    d = solve_1d_spectrum(1, BC_DIRICHLET, 4)
     n = solve_1d_spectrum(1, BC_NEUMANN, 5)
-    tab = convergence_study(1, BC_DIRICHLET, SQUARE, [8, 10], count=3)
     with pytest.raises(InvalidArgumentError, match="interval"):
-        verify_theorem_main(d, n, tab, k_max=3)
+        verify_theorem_main(n, k_max=3)
 
 
 def test_theorem_claim_square_m1():
-    tab = convergence_study(1, BC_DIRICHLET, SQUARE, [10, 12], count=4)
-    spec_d = solve_2d_spectrum(1, BC_DIRICHLET, 12, SQUARE, count=4)
     spec_n = solve_2d_spectrum(1, BC_NEUMANN, 12, SQUARE, count=5)
-    rep = verify_theorem_main(spec_d, spec_n, tab, k_max=4)
+    rep = verify_theorem_main(spec_n, k_max=4)
     assert rep.passed
     # the m=1 square gap mu_{k+1} -> lam_k is at least pi^2
     assert rep.margin > 0.9 * np.pi ** 2
+
+
+def test_theorem_claim_rhs_is_exact_power_on_rectangle():
+    dom = Domain.rectangle(1.0, 0.5)
+    for m, n, k_max in ((1, 16, 9), (2, 20, 8)):
+        spec_n = solve_2d_spectrum(m, BC_NEUMANN, n, dom, count=k_max + m)
+        rep = verify_theorem_main(spec_n, k_max=k_max)
+        nu = square_laplacian_eigs(BC_DIRICHLET, k_max, 1.0, 0.5)
+        assert [r.rhs for r in rep.details] == [float(v) ** m for v in nu]
+        assert rep.passed and rep.config_echo["tol_zero"] == spec_n.tol.tol_zero
+    with pytest.raises(InvalidArgumentError):
+        verify_theorem_main(solve_2d_spectrum(1, BC_DIRICHLET, 12, SQUARE, count=5), k_max=4)
 
 
 def test_weak_minmax_matched_size():
