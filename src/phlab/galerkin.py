@@ -88,12 +88,6 @@ def derivative_grams(bc: str, m: int, n: int) -> np.ndarray:
     return np.einsum("aiq,bjq->abij", F, F)
 
 
-def axis_rule(length: float, nq: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule mapped from [-1, 1] to (0, length)."""
-    t, w = gauss_legendre(nq)
-    return 0.5 * length * (t + 1.0), 0.5 * length * w
-
-
 # block order (x parity, y parity): ee, eo, oe, oo
 PARITY_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # relative gap below which merged eigenvectors follow block order: far below

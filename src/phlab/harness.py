@@ -18,9 +18,9 @@ from math import comb, pi, sqrt
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .galerkin import ConvergenceTable, convergence_study, solve_2d_eigensystem, solve_2d_spectrum
+from .linalg import gauss_legendre
 from .model import (BC_DIRICHLET, BC_NEUMANN, CheckRecord, Domain, InvalidArgumentError,
                     RunConfig, Spectrum, VerificationReport, n_poly_dim)
 from .oned import check_root_coincidence, solve_1d_spectrum
@@ -162,78 +162,61 @@ def verify_zero_modes(spec_N: Spectrum, d: int, m: int) -> VerificationReport:
 
 
 # --- polynomial sample machinery for the interpolation claim ----------------
-# coefficient convention: C[i, j] multiplies x^i y^j on the reference square
+# coefficient convention: C[..., i, j] multiplies x^i y^j on the reference
+# square, one d x d matrix or a stack.  d/dx is the d x d matrix D with
+# (D c)[i] = (i + 1) c[i + 1], applied from the left (d/dy from the right), so
+# sizes stay d.  Values on the tensor Gauss rule of d + 2 nodes per axis, exact
+# for squares of such polynomials, are A_a @ C @ A_b.T with A_a = V D^a for the
+# rule's monomial Vandermonde V: a stack of samples takes a few array products.
 
-def _deriv2(C: np.ndarray, ax: int, ay: int) -> np.ndarray:
-    out = np.asarray(C, dtype=float)
-    if ax:
-        out = npoly.polyder(out, ax, axis=0)
-    if ay:
-        out = npoly.polyder(out, ay, axis=1)
-    return np.atleast_2d(out)
-
-
-def _grid_rule(C: np.ndarray):
-    from .linalg import gauss_legendre
-    nq = max(C.shape) + 2  # exact for squares of any derivative of C
-    t, w = gauss_legendre(nq)
-    X, Y = np.meshgrid(t, t, indexing="ij")
-    return X, Y, np.outer(w, w)
-
-
-def dm_norm_sq(C: np.ndarray, j: int) -> float:
+def dm_norm_sq(C: np.ndarray, j: int) -> float | np.ndarray:
     """Integral over (-1,1)^2 of |D^j u|^2 for the polynomial with coefficients C.
 
     Grouped by the count of x-derivatives: sum_a C(j, a) (d_x^a d_y^(j-a) u)^2
     covers all j-th order ordered index tuples.  j = 0 gives the plain L2 mass.
+    C may be one d x d matrix (a float comes back) or a (..., d, d) stack.
     """
-    X, Y, W = _grid_rule(C)
-    total = 0.0
-    for a in range(j + 1):
-        vals = npoly.polyval2d(X, Y, _deriv2(C, a, j - a))
-        total += comb(j, a) * float(np.sum(W * vals * vals))
-    return total
+    C = np.asarray(C, dtype=float)
+    d = C.shape[-1]
+    if C.ndim < 2 or C.shape[-2] != d:
+        raise InvalidArgumentError("coefficients must be square d x d matrices")
+    t, w = gauss_legendre(d + 2)
+    D = np.diag(np.arange(1.0, d), k=1)
+    A = [np.vander(t, d, increasing=True) @ np.linalg.matrix_power(D, a) for a in range(j + 1)]
+    vals = [A[a] @ C @ A[j - a].T for a in range(j + 1)]
+    total = sum(comb(j, a) * np.einsum("...pq,p,q->...", v * v, w, w) for a, v in enumerate(vals))
+    return float(total) if C.ndim == 2 else total
 
 
-def _laplacian(C: np.ndarray) -> np.ndarray:
-    cxx = _deriv2(C, 2, 0)
-    cyy = _deriv2(C, 0, 2)
-    rows = max(cxx.shape[0], cyy.shape[0])
-    cols = max(cxx.shape[1], cyy.shape[1])
-    out = np.zeros((rows, cols))
-    out[:cxx.shape[0], :cxx.shape[1]] += cxx
-    out[:cyy.shape[0], :cyy.shape[1]] += cyy
-    return out
-
-
-def laplacian_power_norm(C: np.ndarray, m: int) -> float:
+def laplacian_power_norm(C: np.ndarray, m: int) -> float | np.ndarray:
     """The pure-Laplacian form of the m-th gradient energy.
 
     Equals dm_norm_sq(C, m) for polynomials vanishing to order m at the
     boundary: integral of (Lap^(m/2) u)^2 for even m, of |grad Lap^((m-1)/2) u|^2
-    for odd m.
+    for odd m.  Takes a d x d matrix or a (..., d, d) stack, as dm_norm_sq.
     """
     half, rem = divmod(m, 2)
     D = np.asarray(C, dtype=float)
+    r = np.arange(1.0, D.shape[-1] - 1)
+    D2 = np.diag(r * (r + 1), k=2)  # d^2/dt^2: (D2 c)[i] = (i + 1)(i + 2) c[i + 2]
     for _ in range(half):
-        D = _laplacian(D)
+        D = D2 @ D + D @ D2.T
     return dm_norm_sq(D, rem)
 
 
-def h0_sample_coeffs(m: int, count: int, seed: int, degree: int = 2) -> list[np.ndarray]:
-    """Seeded random polynomials times ((1-x^2)(1-y^2))^(m+1).
+def h0_sample_coeffs(m: int, count: int, seed: int, degree: int = 2) -> np.ndarray:
+    """Seeded random polynomials times ((1-x^2)(1-y^2))^(m+1), stacked (count, d, d).
 
     The boundary factor vanishes to order m+1 on all four edges, so every
     sample lies in H^(m+1)_0 of the reference square.
     """
     rng = np.random.default_rng(seed)
-    w = npoly.polypow([1.0, 0.0, -1.0], m + 1)
-    out = []
-    for _ in range(count):
-        p = rng.standard_normal((degree + 1, degree + 1))
-        px = np.apply_along_axis(npoly.polymul, 0, p, w)
-        out.append(np.apply_along_axis(npoly.polymul, 1, px, w))
-    return out
+    p = rng.standard_normal((count, degree + 1, degree + 1))
+    w = np.zeros(2 * m + 3)
+    w[::2] = [comb(m + 1, q) * (-1) ** q for q in range(m + 2)]  # (1 - t^2)^(m+1)
+    # convolution matrix: (W @ c) holds the coefficients of w(t) times c(t)
+    W = np.stack([np.convolve(w, e) for e in np.eye(degree + 1)], axis=1)
+    return W @ p @ W.T
 
 
 def verify_interpolation(m: int, sample_count: int, seed: int) -> VerificationReport:
@@ -247,15 +230,15 @@ def verify_interpolation(m: int, sample_count: int, seed: int) -> VerificationRe
     """
     if m < 1 or sample_count < 1:
         raise InvalidArgumentError("need m >= 1 and sample_count >= 1")
+    samples = h0_sample_coeffs(m, sample_count, seed)
+    energies = zip(dm_norm_sq(samples, m).tolist(), dm_norm_sq(samples, m + 1).tolist(),
+                   dm_norm_sq(samples, m - 1).tolist(),
+                   laplacian_power_norm(samples, m).tolist())
     records = []
-    for s, C in enumerate(h0_sample_coeffs(m, sample_count, seed), start=1):
-        mid = dm_norm_sq(C, m)
-        hi = dm_norm_sq(C, m + 1)
-        lo = dm_norm_sq(C, m - 1)
+    for s, (mid, hi, lo, alt) in enumerate(energies, start=1):
         rhs = sqrt(hi * lo)
         slack_a = 0.0 if rhs == 0.0 else (rhs * (1.0 + 1e-12) - mid) / rhs
         records.append(CheckRecord(k=s, lhs=mid, rhs=rhs, slack=slack_a))
-        alt = laplacian_power_norm(C, m)
         rel = 0.0 if mid == 0.0 else abs(mid - alt) / mid
         records.append(CheckRecord(k=s, lhs=mid, rhs=alt, slack=1e-11 - rel))
     return VerificationReport(

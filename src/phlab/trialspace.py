@@ -17,6 +17,11 @@ clamped eigenvalue; together with the counting argument this is the
 mechanism that separates the shifted free eigenvalues from the clamped ones
 in two dimensions.
 
+Every W basis function is a sum of products f(x) g(y), and the forms on W
+are sums over the product of two 1d Gauss rules, so they are assembled from
+1d sums (Lynch, Rice & Thomas, 1964): the same sums in exact arithmetic, with
+no array over the 2d grid.
+
 All derivatives in this module are closed-form; numerical differentiation is
 deliberately absent so identity residuals measure rounding, not truncation.
 Complex arithmetic stays inside this module and the Hermitian pencil solver.
@@ -25,13 +30,14 @@ Complex arithmetic stays inside this module and the Hermitian pencil solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from math import ceil, comb
 
 import numpy as np
 
-from .galerkin import Eigensystem2D, axis_rule, shape_derivatives
-from .linalg import force_hermitian, min_singular_value, solve_gen_eig
+from .galerkin import AssembledPencil, Eigensystem2D, shape_derivatives
+from .linalg import force_hermitian, gauss_legendre, min_singular_value, solve_gen_eig
 from .model import (BC_DIRICHLET, GramDegeneracyError, InvalidArgumentError, NumericalError,
                     ToleranceConfig, check_order)
 
@@ -181,53 +187,63 @@ def vandermonde_check(zetas) -> float:
 # combined space W = span(u_1..u_k) + V_omega on the rectangle
 
 
-def _chain_quad_floor(n: int, omega: np.ndarray, lmax: float) -> int:
+def _chain_quad_floor(n: int, radius: float, lmax: float) -> int:
     """Per-axis node floor n + 2 ceil(|omega| L / pi) + 10: resolves the wave."""
-    return n + 2 * ceil(float(np.hypot(omega[0], omega[1])) * lmax / np.pi) + 10
+    return n + 2 * ceil(radius * lmax / np.pi) + 10
 
 
-def _w_basis_grids(eigsys: Eigensystem2D, k: int, omega: np.ndarray,
-                   nq: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature weights, values, and order-m mixed partials of the W basis.
+@lru_cache(maxsize=64)
+def _rule_factors(bc: str, m: int, n: int, nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shape factors F[a, i, q] = phi_i^(a)(t_q) on the nq-point Gauss rule of
+    [-1, 1] and their Grams G[a] = F[a] diag(w) F[a]^T, shared read-only by
+    both axes and every certificate on the rule."""
+    t, w = gauss_legendre(nq)
+    F = shape_derivatives(bc, m, n, t, max_deriv=m)
+    G = (F * w) @ F.transpose(0, 2, 1)
+    for arr in (F, G):
+        arr.flags.writeable = False
+    return F, G
 
-    Returns (w2d, vals, mixed): w2d has one weight per tensor node, vals is
-    (k+m, P) complex, mixed is (m+1, k+m, P) with mixed[a] = d_x^a d_y^(m-a).
-    Basis order: the k mass-orthonormal clamped eigenvectors, then the m waves.
+
+def _axis_forms(pen: AssembledPencil, nq: int, length: float, freq: float,
+                xi: np.ndarray) -> tuple:
+    """One axis, on the nq-point rule of (0, length), in physical derivatives:
+    K[a] = integral of phi^(a) phi^(a)^T, wave moments E[a, j, i] = integral of
+    phi_i^(a) conj(e_j) and the wave Gram G[j, l] = integral of e_j conj(e_l),
+    for the 1d waves e_j(x) = e^(i xi_j freq x)."""
+    F, Gref = _rule_factors(pen.bc, pen.m, pen.n, nq)
+    t, w = gauss_legendre(nq)
+    x, wq = 0.5 * length * (t + 1.0), 0.5 * length * w
+    s = (2.0 / length) ** np.arange(pen.m + 1)  # d/dx = (2 / length) d/dt
+    waves = np.exp(1j * np.outer(xi, freq * x))
+    K = (0.5 * length * s * s)[:, None, None] * Gref
+    E = s[:, None, None] * ((waves.conj() * wq) @ F.transpose(0, 2, 1))
+    G = (waves * wq) @ waves.conj().T
+    return K, E, G
+
+
+def _chain_form(C: np.ndarray, x: tuple, y: tuple, beta: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+    """sum_t beta_t integral (D_t f) conj(D_t g) over the W basis, from 1d pieces.
+
+    D_t = d_x^t d_y^(T-1-t), T = len(beta), multiplies wave j by c[t, j], and
+    C[i] is the n x n coefficient matrix of eigenvector i.  Eigenvector blocks
+    are C_i . (K^x_t C_l K^y_(T-1-t)), mixed blocks contract C_i with the wave
+    moments E^x_t[j] (x) E^y_(T-1-t)[j], and wave blocks are G^x G^y.
     """
-    pen = eigsys.pencil
-    m, n = pen.m, pen.n
-    lx, ly = pen.domain.lx, pen.domain.ly
-    xq, wxq = axis_rule(lx, nq)
-    yq, wyq = axis_rule(ly, nq)
-    sx, sy = 2.0 / lx, 2.0 / ly
-    Fx = shape_derivatives(pen.bc, m, n, 2.0 * xq / lx - 1.0, max_deriv=m)
-    Fy = shape_derivatives(pen.bc, m, n, 2.0 * yq / ly - 1.0, max_deriv=m)
-    w2d = np.kron(wxq, wyq)
-
-    dim = k + m
-    P = nq * nq
-    vals = np.empty((dim, P), dtype=complex)
-    mixed = np.empty((m + 1, dim, P), dtype=complex)
-    for i in range(k):
-        C = eigsys.vectors[:, i].reshape(n, n)
-        vals[i] = (Fx[0].T @ C @ Fy[0]).ravel()
-        for a in range(m + 1):
-            grid = Fx[a].T @ C @ Fy[m - a]
-            mixed[a, i] = (sx ** a * sy ** (m - a)) * grid.ravel()
-    xi = roots_of_unity(m)
-    X, Y = np.meshgrid(xq, yq, indexing="ij")
-    dot = (omega[0] * X + omega[1] * Y).ravel()
-    for j in range(m):
-        wave = np.exp(1j * xi[j] * dot)
-        vals[k + j] = wave
-        for a in range(m + 1):
-            mixed[a, k + j] = (1j * xi[j]) ** m * omega[0] ** a * omega[1] ** (m - a) * wave
-    return w2d, vals, mixed
+    (Kx, Ex, Gx), (Ky, Ey, Gy) = x, y
+    T = beta.size
+    Ky, Ey = Ky[T - 1::-1], Ey[T - 1::-1]
+    Z = np.einsum("t,tlpq->lpq", beta, Kx[:T, None] @ C @ Ky[:, None])
+    uu = C.reshape(len(C), -1) @ Z.reshape(len(C), -1).T
+    uw = sum(b * ct.conj() * ((C @ ey.T) * ex.T).sum(axis=1)
+             for b, ct, ex, ey in zip(beta, c, Ex, Ey))
+    ww = ((beta[:, None] * c).T @ c.conj()) * Gx * Gy
+    return np.block([[uu, uw], [uw.conj().T, ww]])
 
 
-def _normalized_gram_min_sv(w2d: np.ndarray, vals: np.ndarray) -> float:
-    """Smallest singular value of the Gram of the L2-normalized basis."""
-    M = (vals * w2d) @ vals.conj().T
+def _normalized_gram_min_sv(M: np.ndarray) -> float:
+    """Smallest singular value of the Gram M of the L2-normalized basis."""
     d = np.sqrt(np.abs(np.real(np.diag(M))))
     if np.any(d == 0.0):
         return 0.0
@@ -271,10 +287,11 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D,
 
     The clamped eigenvectors are exact members of the essential-condition
     space, so all stiffness cross terms are plain integrals of order-m
-    gradient contractions; no boundary terms arise.  Forms are Hermitian by
-    construction and solved with the dense Hermitian pencil solver; the
-    certificate records the largest eigenvalue and the combined basis
-    conditioning.
+    gradient contractions; no boundary terms arise.  Both forms are sums over
+    a tensor Gauss rule and are assembled by axis (see _chain_form), which
+    equals the sum over the 2d grid in exact arithmetic.  They are Hermitian
+    and solved with the dense Hermitian pencil solver; the certificate
+    records the largest eigenvalue and the combined basis conditioning.
     """
     m = check_order(m)
     pen = eigsys.pencil
@@ -286,12 +303,17 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D,
         raise InvalidArgumentError(f"k={k} outside the trusted range")
     lambda_hat = eigsys.spectrum.value(k)
     r = lambda_hat ** (1.0 / (2 * m))
-    lmax = max(pen.domain.lx, pen.domain.ly)
+    dom, n = pen.domain, pen.n
+    nq = _chain_quad_floor(n, r, max(dom.lx, dom.ly))
+    xi = roots_of_unity(m)
+    C = eigsys.vectors[:, :k].T.reshape(k, n, n)
     for t in range(MAX_DIRECTIONS):
         theta = t * GOLDEN_ANGLE
         omega = np.array([r * np.cos(theta), r * np.sin(theta)])
-        w2d, vals, mixed = _w_basis_grids(eigsys, k, omega, _chain_quad_floor(pen.n, omega, lmax))
-        gram_min_sv = _normalized_gram_min_sv(w2d, vals)
+        x = _axis_forms(pen, nq, dom.lx, omega[0], xi)
+        y = _axis_forms(pen, nq, dom.ly, omega[1], xi)
+        M = _chain_form(C, x, y, np.ones(1), np.ones((1, m)))
+        gram_min_sv = _normalized_gram_min_sv(M)
         if gram_min_sv > GRAM_SV_FLOOR:
             break
     else:
@@ -300,10 +322,11 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D,
             f"basis Gram smallest singular value above {GRAM_SV_FLOOR:g}; the discrete "
             f"eigenvectors are suspect"
         )
-    S = np.zeros((k + m, k + m), dtype=complex)
-    for a in range(m + 1):
-        S += comb(m, a) * (mixed[a] * w2d) @ mixed[a].conj().T
-    M = (vals * w2d) @ vals.conj().T
+    a = np.arange(m + 1)
+    # d_x^a d_y^(m-a) multiplies wave j by (i xi_j)^m omega_x^a omega_y^(m-a)
+    c = (omega[0] ** a * omega[1] ** (m - a))[:, None] * (1j * xi) ** m
+    beta = np.array([comb(m, b) for b in a], dtype=float)
+    S = _chain_form(C, x, y, beta, c)
     w, _ = solve_gen_eig(force_hermitian(S), force_hermitian(M))
     return ChainCertificate(m=m, k=k, lambda_hat=lambda_hat, omega=omega,
                             max_rayleigh=float(w[-1]), gram_min_sv=float(gram_min_sv),

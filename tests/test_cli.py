@@ -215,12 +215,26 @@ def test_commands_do_not_load_scipy():
     code = ("import sys\n"
             "from phlab.cli import main\n"
             "for argv in (['spectrum2d', '--m', '2', '--bc', 'neumann', '--n', '10'],\n"
+            "             ['verify', 'interpolation', '--m', '2', '--count', '5'],\n"
             "             ['verify', 'chain', '--m', '2', '--n', '12', '--k-max', '3']):\n"
             "    assert main(argv + ['--stable-output']) == 0, argv\n"
-            "assert 'scipy' not in sys.modules\n")
+            "assert 'scipy' not in sys.modules\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_stable_output_identical_across_blas_threads():
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "phlab.cli", "all", "--stable-output"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_out_file_written(tmp_path, capsys):

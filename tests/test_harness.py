@@ -52,6 +52,17 @@ def test_laplacian_power_identity_on_samples():
             npt.assert_allclose(b, a, rtol=1e-11)
 
 
+def test_energies_accept_coefficient_stacks():
+    for m in (1, 2, 3):
+        stack = h0_sample_coeffs(m, 5, seed=11)
+        assert stack.shape == (5, 2 * m + 5, 2 * m + 5)
+        for j in (m - 1, m, m + 1):
+            npt.assert_allclose(dm_norm_sq(stack, j), [dm_norm_sq(C, j) for C in stack],
+                                rtol=1e-14)
+        npt.assert_allclose(laplacian_power_norm(stack, m),
+                            [laplacian_power_norm(C, m) for C in stack], rtol=1e-14)
+
+
 def test_interpolation_claim_records():
     rep = run_claim("interpolation", _cfg(m=2, count=12, seed=3))
     assert rep.passed

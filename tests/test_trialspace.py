@@ -1,9 +1,12 @@
+from math import comb
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from phlab import trialspace
-from phlab.galerkin import solve_2d_eigensystem
+from phlab.galerkin import shape_derivatives, solve_2d_eigensystem
+from phlab.linalg import force_hermitian, gauss_legendre, min_singular_value, solve_gen_eig
 from phlab.model import (BC_NEUMANN, CapabilityError, Domain, GramDegeneracyError,
                          InvalidArgumentError)
 from phlab.trialspace import (TrialSpace, certified_chain_bound, mth_gradient_square,
@@ -88,19 +91,86 @@ def test_chain_certificate_omega_hits_target_level():
         npt.assert_allclose(np.hypot(*cert.omega) ** 4, sysd.spectrum.value(k), rtol=1e-12)
 
 
-def test_chain_certificate_builds_grids_once(monkeypatch):
+def test_chain_certificate_builds_shape_factors_once_per_rule(monkeypatch):
     calls = []
-    build = trialspace._w_basis_grids
+    build = trialspace.shape_derivatives
 
-    def counted(*args):
-        calls.append(args[1])
-        return build(*args)
+    def counted(bc, m, n, t, max_deriv):
+        calls.append(len(t))
+        return build(bc, m, n, t, max_deriv)
 
-    monkeypatch.setattr(trialspace, "_w_basis_grids", counted)
     sysd = solve_2d_eigensystem(2, "dirichlet", 12, SQUARE, count=5)
+    monkeypatch.setattr(trialspace, "shape_derivatives", counted)
+    trialspace._rule_factors.cache_clear()
+    rules = set()
     for k in range(1, 6):
-        certified_chain_bound(2, k, sysd)
-    assert calls == [1, 2, 3, 4, 5]
+        cert = certified_chain_bound(2, k, sysd)
+        rules.add(trialspace._chain_quad_floor(12, np.hypot(*cert.omega), 1.0))
+    assert sorted(calls) == sorted(rules)
+
+
+def _grid_reference_forms(eigsys, k, omega):
+    """S and M of the chain certificate from full tensor grids of the W basis.
+
+    Every basis function and each of its order-m mixed partials is evaluated
+    on the nq x nq tensor Gauss rule and the 2d sums are taken directly.
+    """
+    pen = eigsys.pencil
+    m, n = pen.m, pen.n
+    lx, ly = pen.domain.lx, pen.domain.ly
+    nq = trialspace._chain_quad_floor(n, float(np.hypot(*omega)), max(lx, ly))
+    t, w = gauss_legendre(nq)
+    xq, wxq = 0.5 * lx * (t + 1.0), 0.5 * lx * w
+    yq, wyq = 0.5 * ly * (t + 1.0), 0.5 * ly * w
+    sx, sy = 2.0 / lx, 2.0 / ly
+    Fx = shape_derivatives(pen.bc, m, n, 2.0 * xq / lx - 1.0, max_deriv=m)
+    Fy = shape_derivatives(pen.bc, m, n, 2.0 * yq / ly - 1.0, max_deriv=m)
+    w2d = np.kron(wxq, wyq)
+    dim = k + m
+    vals = np.empty((dim, nq * nq), dtype=complex)
+    mixed = np.empty((m + 1, dim, nq * nq), dtype=complex)
+    for i in range(k):
+        C = eigsys.vectors[:, i].reshape(n, n)
+        vals[i] = (Fx[0].T @ C @ Fy[0]).ravel()
+        for a in range(m + 1):
+            mixed[a, i] = (sx ** a * sy ** (m - a)) * (Fx[a].T @ C @ Fy[m - a]).ravel()
+    xi = roots_of_unity(m)
+    X, Y = np.meshgrid(xq, yq, indexing="ij")
+    dot = (omega[0] * X + omega[1] * Y).ravel()
+    for j in range(m):
+        wave = np.exp(1j * xi[j] * dot)
+        vals[k + j] = wave
+        for a in range(m + 1):
+            mixed[a, k + j] = (1j * xi[j]) ** m * omega[0] ** a * omega[1] ** (m - a) * wave
+    S = sum(comb(m, a) * (mixed[a] * w2d) @ mixed[a].conj().T for a in range(m + 1))
+    M = (vals * w2d) @ vals.conj().T
+    return S, M
+
+
+@pytest.mark.parametrize("lx, ly", [(1.0, 1.0), (1.0, 0.5)])
+@pytest.mark.parametrize("m, n", [(1, 12), (2, 12), (3, 10)])
+def test_separable_chain_forms_match_grid_reference(m, n, lx, ly, monkeypatch):
+    sysd = solve_2d_eigensystem(m, "dirichlet", n, Domain.rectangle(lx, ly), count=8)
+    forms = []
+    build = trialspace._chain_form
+
+    def recorded(*args):
+        forms.append(build(*args))
+        return forms[-1]
+
+    monkeypatch.setattr(trialspace, "_chain_form", recorded)
+    for k in range(1, 9):
+        forms.clear()
+        cert = certified_chain_bound(m, k, sysd)
+        M, S = forms[-2], forms[-1]  # the mass of the certified direction, then S
+        S_ref, M_ref = _grid_reference_forms(sysd, k, cert.omega)
+        for got, ref in ((S, S_ref), (M, M_ref)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        w, _ = solve_gen_eig(force_hermitian(S_ref), force_hermitian(M_ref))
+        assert abs(cert.max_rayleigh - w[-1]) <= 1e-12 * abs(w[-1])
+        d = np.sqrt(np.real(np.diag(M_ref)))
+        gram_min_sv = min_singular_value(M_ref / np.outer(d, d))
+        assert abs(cert.gram_min_sv - gram_min_sv) <= 1e-12
 
 
 def test_chain_certificate_contents():
