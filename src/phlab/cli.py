@@ -1,8 +1,9 @@
 """Command-line front end: configuration, solver runs, claim verification.
 
 Exit codes: 0 all checks passed, 1 a verification claim failed, 2 usage or
-configuration error, 3 numerical failure or I/O error.  Every failure also
-writes a single-line JSON object {"error": ..., "exit_code": ...} to stderr.
+configuration error, 3 numerical failure, I/O error or exhausted memory.
+Every failure also writes a single-line JSON object {"error": ...,
+"exit_code": ...} to stderr.
 
 Configuration precedence is flags > JSON config file > defaults, and the
 resolved configuration is echoed into every output.  Floats are serialized
@@ -275,6 +276,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(str(exc), 2)
     except (NumericalError, OSError) as exc:
         return _fail(str(exc), 3)
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}", 3)
     except PhlabError as exc:
         return _fail(str(exc), 3)
 

@@ -12,9 +12,11 @@ mixed partials d_x^a d_y^(m-a) by the binomial count of ordered index tuples
 turns stiffness and mass into sums of Kronecker products of 1d derivative
 Gram matrices on the reference element, scaled by the affine map of each
 axis.  Quadrature uses n + 2m + 2 Gauss nodes per axis, which integrates
-every integrand here exactly.
+every integrand here exactly.  The 1d tables, shape derivatives times root
+weights and their Grams, come from one cached builder, shape_table, which
+the chain certificate of trialspace reads on its own rules as well.
 
-Shape function i has parity (-1)^i, so G_aa[i, j] vanishes unless i + j is
+Shape function i has parity (-1)^i, so G_a[i, j] vanishes unless i + j is
 even, and the pencil splits exactly into four blocks by (x parity, y parity).
 Each block's mass is a Kronecker product of two 1d mass blocks, so it is
 reduced to the identity one axis at a time (the generalized-eigenproblem
@@ -29,6 +31,7 @@ merged in a fixed order inside clusters of equal values.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb, floor
 
 import numpy as np
@@ -69,23 +72,21 @@ def shape_derivatives(bc: str, m: int, n: int, t: np.ndarray, max_deriv: int) ->
     return out
 
 
-def derivative_factors(bc: str, m: int, n: int) -> np.ndarray:
-    """F[a, i, q] = phi_i^(a)(t_q) sqrt(w_q) on the n + 2m + 2 point Gauss rule.
+@lru_cache(maxsize=64)
+def shape_table(bc: str, m: int, n: int, nq: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shape factors and their Grams on the nq-point Gauss rule of [-1, 1].
 
-    G[a, b] = F[a] @ F[b].T is then the Gram of derivative_grams.
+    F[a, i, q] = phi_i^(a)(t_q) sqrt(w_q) and G[a] = F[a] @ F[a].T, the Gram
+    of integrals of phi_i^(a) phi_j^(a), for 0 <= a <= m.  G is exact once
+    nq >= n + 2m: the largest integrand degree is 2(n - 1) + 4m.  Each table
+    is built once per process and shared, so both arrays are read-only.
     """
-    t, w = gauss_legendre(n + 2 * m + 2)
-    return shape_derivatives(bc, m, n, t, max_deriv=m) * np.sqrt(w)
-
-
-def derivative_grams(bc: str, m: int, n: int) -> np.ndarray:
-    """G[a, b, i, j] = integral over [-1,1] of phi_i^(a) phi_j^(b), 0 <= a,b <= m.
-
-    The n + 2m + 2 point rule is exact: the largest integrand degree is
-    2(n - 1) + 4m.
-    """
-    F = derivative_factors(bc, m, n)
-    return np.einsum("aiq,bjq->abij", F, F)
+    t, w = gauss_legendre(nq)
+    F = shape_derivatives(bc, m, n, t, max_deriv=m) * np.sqrt(w)
+    G = np.einsum("aiq,ajq->aij", F, F)
+    for arr in (F, G):
+        arr.flags.writeable = False
+    return F, G
 
 
 # block order (x parity, y parity): ee, eo, oe, oo
@@ -113,22 +114,11 @@ class PencilBlock:
     back_y: np.ndarray
 
 
-@dataclass(frozen=True)
-class AssembledPencil:
-    """The tensor-product pencil as four reduced parity blocks."""
-
-    m: int
-    bc: str
-    n: int
-    domain: Domain
-    blocks: tuple[PencilBlock, ...]  # in PARITY_BLOCKS order
-
-
 def _reduced_axis(G00: np.ndarray, F: np.ndarray, index: np.ndarray,
                   s: float) -> tuple[np.ndarray, np.ndarray]:
     """Whitened 1d Grams R[a] and back-transform W^T of one axis parity.
 
-    On an axis of length l = 2/s the physical Grams are K_a = s^(2a-1) G_aa
+    On an axis of length l = 2/s the physical Grams are K_a = s^(2a-1) G_a
     and the mass is M = G_00 / s, so W = sqrt(s) T for the whitener T of
     G_00.  R[a] = Q_a Q_a^T with Q_a = s^a T F_a is symmetric by construction;
     R[0] is set to the identity it equals in exact arithmetic.
@@ -141,7 +131,12 @@ def _reduced_axis(G00: np.ndarray, F: np.ndarray, index: np.ndarray,
     return np.array(R), np.sqrt(s) * T.T
 
 
-def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
+def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBlock, ...]:
+    """The tensor-product pencil as four reduced parity blocks, in PARITY_BLOCKS order.
+
+    A side so short that some block holds an entry, or could hold an
+    eigenvalue, beyond double precision is refused with CapabilityError.
+    """
     m = check_order(m)
     bc = check_bc(bc)
     if domain.shape != "rectangle":
@@ -149,21 +144,28 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> AssembledPencil:
     if n < m + 1:
         raise InvalidArgumentError(f"need n >= m + 1 = {m + 1} shape functions per axis, got {n}")
     check_pencil_dim(n * n)
-    G = derivative_grams(bc, m, n)
-    for a in range(m + 1):
-        force_hermitian(G[a, a])  # the quadrature must give symmetric 1d Grams
-    F = derivative_factors(bc, m, n)
+    F, G = shape_table(bc, m, n, n + 2 * m + 2)
+    for Ga in G:
+        force_hermitian(Ga)  # the quadrature must give symmetric 1d Grams
     parity = [np.arange(p, n, 2) for p in (0, 1)]
-    x_axis = [_reduced_axis(G[0, 0], F, I, 2.0 / domain.lx) for I in parity]
-    y_axis = [_reduced_axis(G[0, 0], F, I, 2.0 / domain.ly) for I in parity]
     blocks = []
-    for px, py in PARITY_BLOCKS:
-        (Rx, Wx), (Ry, Wy) = x_axis[px], y_axis[py]
-        C = sum(comb(m, a) * np.kron(Rx[a], Ry[m - a]) for a in range(m + 1))
-        Ix, Iy = parity[px], parity[py]
-        blocks.append(PencilBlock(index=(Ix[:, None] * n + Iy[None, :]).ravel(),
-                                  matrix=C, back_x=Wx, back_y=Wy))
-    return AssembledPencil(m=m, bc=bc, n=n, domain=domain, blocks=tuple(blocks))
+    # the stiffness scales as (2 / side)^(2m); with numpy scalars an overflow
+    # turns into inf entries, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_axis = [_reduced_axis(G[0], F, I, np.float64(2.0 / domain.lx)) for I in parity]
+        y_axis = [_reduced_axis(G[0], F, I, np.float64(2.0 / domain.ly)) for I in parity]
+        for px, py in PARITY_BLOCKS:
+            (Rx, Wx), (Ry, Wy) = x_axis[px], y_axis[py]
+            C = sum(comb(m, a) * np.kron(Rx[a], Ry[m - a]) for a in range(m + 1))
+            # no eigenvalue of C exceeds its dimension times its largest entry
+            if not np.isfinite(C.shape[0] * np.abs(C).max()):
+                raise CapabilityError(
+                    f"a {domain.lx:g} x {domain.ly:g} rectangle is too small for m={m}: "
+                    f"its stiffness overflows double precision")
+            Ix, Iy = parity[px], parity[py]
+            blocks.append(PencilBlock(index=(Ix[:, None] * n + Iy[None, :]).ravel(),
+                                      matrix=C, back_x=Wx, back_y=Wy))
+    return tuple(blocks)
 
 
 def trusted_capacity(n: int) -> int:
@@ -175,7 +177,6 @@ def trusted_capacity(n: int) -> int:
 class Eigensystem2D:
     """Spectrum plus mass-orthonormal eigenvectors in the assembly basis."""
 
-    pencil: AssembledPencil
     spectrum: Spectrum
     vectors: np.ndarray  # (n*n, count), column k pairs with spectrum.values[k]
 
@@ -196,8 +197,8 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
         raise CapabilityError(
             f"count={count} exceeds the trusted capacity {cap} of n={n}; increase n"
         )
-    pencil = assemble_pencil(m, bc, n, domain)
-    solved = [hermitian_eig(b.matrix) for b in pencil.blocks]
+    blocks = assemble_pencil(m, bc, n, domain)
+    solved = [hermitian_eig(b.matrix) for b in blocks]
     w_all = np.concatenate([w for w, _ in solved])
     order = np.argsort(w_all, kind="stable")
     w = w_all[order]
@@ -207,7 +208,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     pick = order[np.lexsort((order, cluster))][:count]
     V = np.zeros((n * n, count), order="F")  # columns contiguous, as eigh returns them
     start = 0
-    for b, (wb, Yb) in zip(pencil.blocks, solved):
+    for b, (wb, Yb) in zip(blocks, solved):
         cols = np.flatnonzero((pick >= start) & (pick < start + wb.size))
         # back-transform only the picked columns, one axis at a time
         Y = Yb[:, pick[cols] - start].reshape(b.back_x.shape[0], b.back_y.shape[0], cols.size)
@@ -221,7 +222,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     full = make_spectrum(m, bc, domain, MethodInfo("Galerkin2D", n_per_axis=n),
                          w[:probe_len], trusted_count=probe_len, tol=tol)
     spectrum = replace(full, values=full.values[:count], trusted_count=count)
-    return Eigensystem2D(pencil=pencil, spectrum=spectrum, vectors=V)
+    return Eigensystem2D(spectrum=spectrum, vectors=V)
 
 
 def solve_2d_spectrum(m: int, bc: str, n: int, domain: Domain = Domain.rectangle(),

@@ -174,10 +174,6 @@ class Spectrum:
             )
         return float(self.values[k - 1])
 
-    @property
-    def positive_values(self) -> np.ndarray:
-        return self.values[self.zero_count:]
-
     def as_json(self) -> dict:
         return {
             "schema_version": "1",
@@ -287,10 +283,7 @@ CONFIG_DEFAULTS: dict = {
     "ly": 1.0,
     "seed": 1729,
     "perturb": 0.0,
-    "tol_zero": 1e-6,
-    "tol_root": 1e-12,
-    "tol_identity": 1e-9,
-    "margin_factor": 5.0,
+    **asdict(ToleranceConfig()),
 }
 
 
@@ -351,10 +344,12 @@ def validate_config(raw: dict) -> RunConfig:
             raise InvalidArgumentError(f"{name} must be an integer >= {lo}, got {cfg[name]!r}")
         return v
 
-    def _pos(name):
+    def _float(name):  # an integer widens to float; anything else is left as given
         v = cfg[name]
-        if isinstance(v, int) and not isinstance(v, bool):
-            v = float(v)
+        return float(v) if isinstance(v, int) and not isinstance(v, bool) else v
+
+    def _pos(name):
+        v = _float(name)
         if not isinstance(v, float) or not isfinite(v) or v <= 0.0:
             raise InvalidArgumentError(f"{name} must be a positive finite number, got {cfg[name]!r}")
         return v
@@ -364,18 +359,9 @@ def validate_config(raw: dict) -> RunConfig:
     k_max = _int("k_max", 1)
     seed = _int("seed", 0)
     length, lx, ly = _pos("length"), _pos("lx"), _pos("ly")
-    perturb = cfg["perturb"]
-    if isinstance(perturb, int) and not isinstance(perturb, bool):
-        perturb = float(perturb)
+    perturb = _float("perturb")
     if not isinstance(perturb, float) or not isfinite(perturb) or perturb < 0.0:
         raise InvalidArgumentError(f"perturb must be a nonnegative finite number, got {cfg['perturb']!r}")
-    tol = ToleranceConfig(
-        tol_zero=_pos("tol_zero"),
-        tol_root=_pos("tol_root"),
-        tol_identity=_pos("tol_identity"),
-        margin_factor=float(cfg["margin_factor"])
-        if isinstance(cfg["margin_factor"], (int, float)) and not isinstance(cfg["margin_factor"], bool)
-        else cfg["margin_factor"],
-    )
+    tol = ToleranceConfig(**{name: _float(name) for name in asdict(ToleranceConfig())})
     return RunConfig(m=m, bc=bc, n=n, count=count, k_max=k_max,
                      length=length, lx=lx, ly=ly, seed=seed, perturb=perturb, tol=tol)

@@ -20,14 +20,17 @@ then bisected together, one stacked slogdet per halving step.
 
 from __future__ import annotations
 
+from math import isfinite, log
+
 import numpy as np
 
-from .model import (BC_DIRICHLET, BC_NEUMANN, CheckRecord, Domain, InvalidArgumentError,
-                    MethodInfo, NumericalError, Spectrum, ToleranceConfig,
-                    VerificationReport, check_bc, check_order, make_spectrum)
+from .model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, CheckRecord, Domain,
+                    InvalidArgumentError, MethodInfo, NumericalError, Spectrum,
+                    ToleranceConfig, VerificationReport, check_bc, check_order, make_spectrum)
 
 # grid points per stacked determinant call in the sign scan of positive_roots
 SCAN_BLOCK = 4096
+DOUBLE = np.finfo(float)
 
 
 def characteristic_roots(m: int, lam: float) -> np.ndarray:
@@ -117,11 +120,20 @@ def positive_roots(m: int, bc: str, count: int, length: float = 1.0,
     bc = check_bc(bc)
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
-    if not length > 0.0:
-        raise InvalidArgumentError(f"length must be positive, got {length!r}")
+    if not (length > 0.0 and isfinite(length)):
+        raise InvalidArgumentError(f"length must be positive and finite, got {length!r}")
     two_m = 2 * m
     step = 0.02 * np.pi / length
     beta_max = (count + 4 * m + 8) * np.pi / length
+    # the scan runs from step to at most one block past beta_max, which is
+    # below 2 (beta_max + step), and every lam = beta^(2m) on it must be a
+    # normal double
+    if not (log(DOUBLE.tiny) <= two_m * log(step)
+            and two_m * log(2.0 * (beta_max + step)) < log(DOUBLE.max)):
+        raise CapabilityError(
+            f"interval length {length:g} is out of range for m={m}: the scanned "
+            f"lam = beta^{two_m} would leave double precision"
+        )
 
     def sign(beta: np.ndarray) -> np.ndarray:
         return det_indicator(m, beta ** two_m, bc, length)[0]

@@ -20,7 +20,9 @@ in two dimensions.
 Every W basis function is a sum of products f(x) g(y), and the forms on W
 are sums over the product of two 1d Gauss rules, so they are assembled from
 1d sums (Lynch, Rice & Thomas, 1964): the same sums in exact arithmetic, with
-no array over the 2d grid.
+no array over the 2d grid.  The 1d shape tables are those the rectangle
+solver uses, galerkin.shape_table, taken on the certificate's own rule; m,
+bc, n and the domain are read from the eigensystem's spectrum.
 
 All derivatives in this module are closed-form; numerical differentiation is
 deliberately absent so identity residuals measure rounding, not truncation.
@@ -30,13 +32,12 @@ Complex arithmetic stays inside this module and the Hermitian pencil solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iter_product
 from math import ceil, comb
 
 import numpy as np
 
-from .galerkin import AssembledPencil, Eigensystem2D, shape_derivatives
+from .galerkin import Eigensystem2D, shape_table
 from .linalg import force_hermitian, gauss_legendre, min_singular_value, solve_gen_eig
 from .model import (BC_DIRICHLET, GramDegeneracyError, InvalidArgumentError, NumericalError,
                     ToleranceConfig, check_order)
@@ -192,32 +193,19 @@ def _chain_quad_floor(n: int, radius: float, lmax: float) -> int:
     return n + 2 * ceil(radius * lmax / np.pi) + 10
 
 
-@lru_cache(maxsize=64)
-def _rule_factors(bc: str, m: int, n: int, nq: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shape factors F[a, i, q] = phi_i^(a)(t_q) on the nq-point Gauss rule of
-    [-1, 1] and their Grams G[a] = F[a] diag(w) F[a]^T, shared read-only by
-    both axes and every certificate on the rule."""
-    t, w = gauss_legendre(nq)
-    F = shape_derivatives(bc, m, n, t, max_deriv=m)
-    G = (F * w) @ F.transpose(0, 2, 1)
-    for arr in (F, G):
-        arr.flags.writeable = False
-    return F, G
-
-
-def _axis_forms(pen: AssembledPencil, nq: int, length: float, freq: float,
+def _axis_forms(F: np.ndarray, Gref: np.ndarray, length: float, freq: float,
                 xi: np.ndarray) -> tuple:
-    """One axis, on the nq-point rule of (0, length), in physical derivatives:
-    K[a] = integral of phi^(a) phi^(a)^T, wave moments E[a, j, i] = integral of
-    phi_i^(a) conj(e_j) and the wave Gram G[j, l] = integral of e_j conj(e_l),
-    for the 1d waves e_j(x) = e^(i xi_j freq x)."""
-    F, Gref = _rule_factors(pen.bc, pen.m, pen.n, nq)
-    t, w = gauss_legendre(nq)
+    """One axis, from the shape table (F, Gref) of its Gauss rule mapped to
+    (0, length), in physical derivatives: K[a] = integral of phi^(a) phi^(a)^T,
+    wave moments E[a, j, i] = integral of phi_i^(a) conj(e_j) and the wave
+    Gram G[j, l] = integral of e_j conj(e_l), for the 1d waves
+    e_j(x) = e^(i xi_j freq x)."""
+    t, w = gauss_legendre(F.shape[-1])
     x, wq = 0.5 * length * (t + 1.0), 0.5 * length * w
-    s = (2.0 / length) ** np.arange(pen.m + 1)  # d/dx = (2 / length) d/dt
+    s = (2.0 / length) ** np.arange(F.shape[0])  # d/dx = (2 / length) d/dt
     waves = np.exp(1j * np.outer(xi, freq * x))
     K = (0.5 * length * s * s)[:, None, None] * Gref
-    E = s[:, None, None] * ((waves.conj() * wq) @ F.transpose(0, 2, 1))
+    E = s[:, None, None] * ((waves.conj() * (0.5 * length * np.sqrt(w))) @ F.transpose(0, 2, 1))
     G = (waves * wq) @ waves.conj().T
     return K, E, G
 
@@ -294,24 +282,24 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D,
     records the largest eigenvalue and the combined basis conditioning.
     """
     m = check_order(m)
-    pen = eigsys.pencil
-    if pen.bc != BC_DIRICHLET:
+    spec = eigsys.spectrum
+    if spec.bc != BC_DIRICHLET:
         raise InvalidArgumentError("chain bound needs the clamped eigensystem")
-    if pen.m != m:
+    if spec.m != m:
         raise InvalidArgumentError("order mismatch between m and the eigensystem")
-    if not 1 <= k <= eigsys.spectrum.trusted_count:
+    if not 1 <= k <= spec.trusted_count:
         raise InvalidArgumentError(f"k={k} outside the trusted range")
-    lambda_hat = eigsys.spectrum.value(k)
+    lambda_hat = spec.value(k)
     r = lambda_hat ** (1.0 / (2 * m))
-    dom, n = pen.domain, pen.n
-    nq = _chain_quad_floor(n, r, max(dom.lx, dom.ly))
+    dom, n = spec.domain, spec.method.n_per_axis
+    F, G = shape_table(spec.bc, m, n, _chain_quad_floor(n, r, max(dom.lx, dom.ly)))
     xi = roots_of_unity(m)
     C = eigsys.vectors[:, :k].T.reshape(k, n, n)
     for t in range(MAX_DIRECTIONS):
         theta = t * GOLDEN_ANGLE
         omega = np.array([r * np.cos(theta), r * np.sin(theta)])
-        x = _axis_forms(pen, nq, dom.lx, omega[0], xi)
-        y = _axis_forms(pen, nq, dom.ly, omega[1], xi)
+        x = _axis_forms(F, G, dom.lx, omega[0], xi)
+        y = _axis_forms(F, G, dom.ly, omega[1], xi)
         M = _chain_form(C, x, y, np.ones(1), np.ones((1, m)))
         gram_min_sv = _normalized_gram_min_sv(M)
         if gram_min_sv > GRAM_SV_FLOOR:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from phlab import cli, galerkin
+from phlab import cli, galerkin, harness
 from phlab.harness import CLAIMS
 from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, Domain, InvalidArgumentError,
                          MethodInfo, Spectrum, validate_config)
@@ -178,14 +178,15 @@ def test_out_path_failure_is_io_error(capsys):
 def test_indefinite_mass_matrix_is_numerical_error(monkeypatch, capsys):
     # Grams whose mass has an indefinite (even, even) sub-block, diagonal
     # still positive: the per-axis Cholesky breaks down, which is exit 3
-    grams = galerkin.derivative_grams
+    table = galerkin.shape_table
 
-    def indefinite_mass(bc, m, n):
-        G = grams(bc, m, n)
-        G[0, 0, 0, 2] = G[0, 0, 2, 0] = 2.0 * np.sqrt(G[0, 0, 0, 0] * G[0, 0, 2, 2])
-        return G
+    def indefinite_mass(bc, m, n, nq):
+        F, G = table(bc, m, n, nq)
+        G = G.copy()
+        G[0, 0, 2] = G[0, 2, 0] = 2.0 * np.sqrt(G[0, 0, 0] * G[0, 2, 2])
+        return F, G
 
-    monkeypatch.setattr(galerkin, "derivative_grams", indefinite_mass)
+    monkeypatch.setattr(galerkin, "shape_table", indefinite_mass)
     code, out, err = run_cli(capsys, "spectrum2d", "--m", "3", "--bc", "dirichlet",
                              "--n", "12", "--count", "20")
     assert code == 3 and out == ""
@@ -193,6 +194,47 @@ def test_indefinite_mass_matrix_is_numerical_error(monkeypatch, capsys):
     assert len(lines) == 1
     msg = json.loads(lines[0])
     assert msg["exit_code"] == 3 and "not positive definite" in msg["error"]
+
+
+def _one_line_error(err):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def test_tiny_rectangle_side_is_refused(capsys):
+    # the stiffness scales as (2 / lx)^(2m): where that overflows, assembly
+    # refuses the side instead of raising OverflowError or feeding inf to eigh
+    for m in (1, 2, 3):
+        for bc in ("dirichlet", "neumann"):
+            for lx in ("1e-120", "1e-160", "1e-200"):
+                code, out, err = run_cli(capsys, "spectrum2d", "--m", str(m), "--bc", bc,
+                                         "--n", "8", "--count", "3", "--lx", lx)
+                assert code == 0 if (m, lx) == (1, "1e-120") else code in (0, 2), (m, bc, lx)
+                if code == 2:
+                    assert out == "" and _one_line_error(err)["exit_code"] == 2
+
+
+def test_extreme_interval_length_is_refused(capsys):
+    for length, code_expected in (("1e-200", 2), ("1e200", 2), ("1e-100", 0), ("1e100", 0)):
+        code, out, err = run_cli(capsys, "oned", "--m", "1", "--bc", "neumann",
+                                 "--count", "3", "--length", length)
+        assert code == code_expected, length
+        if code == 2:
+            msg = _one_line_error(err)
+            assert f"length {float(length):g}" in msg["error"] and len(msg["error"]) < 200
+
+
+def test_memory_error_is_exit_3(monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 24.6 GiB for an array")
+
+    monkeypatch.setattr(harness, "h0_sample_coeffs", no_memory)
+    code, out, err = run_cli(capsys, "verify", "interpolation", "--m", "3",
+                             "--count", "100000000")
+    assert code == 3 and out == ""
+    msg = _one_line_error(err)
+    assert msg["exit_code"] == 3 and "24.6 GiB" in msg["error"]
 
 
 def test_clamped_m3_large_n_solves(capsys):

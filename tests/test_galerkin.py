@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from phlab import galerkin
-from phlab.galerkin import (assemble_pencil, convergence_study, derivative_grams,
-                            shape_derivatives, solve_2d_eigensystem, solve_2d_spectrum,
+from phlab.galerkin import (assemble_pencil, convergence_study, shape_derivatives,
+                            shape_table, solve_2d_eigensystem, solve_2d_spectrum,
                             trusted_capacity)
 from phlab.harness import square_laplacian_eigs
 from phlab.linalg import solve_gen_eig
@@ -19,12 +19,12 @@ SQUARE = Domain.rectangle(1.0, 1.0)
 def full_pencil(m, bc, n, domain):
     """The whole n^2 x n^2 Kronecker pencil, flat index i1 * n + i2, off-block
     entries included: the reference the parity blocks are checked against."""
-    G = derivative_grams(bc, m, n)
+    _, G = shape_table(bc, m, n, n + 2 * m + 2)
     sx, sy = 2.0 / domain.lx, 2.0 / domain.ly
     jac = 0.25 * domain.lx * domain.ly
     A = jac * sum(comb(m, a) * sx ** (2 * a) * sy ** (2 * (m - a))
-                  * np.kron(G[a, a], G[m - a, m - a]) for a in range(m + 1))
-    B = jac * np.kron(G[0, 0], G[0, 0])
+                  * np.kron(G[a], G[m - a]) for a in range(m + 1))
+    B = jac * np.kron(G[0], G[0])
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
@@ -39,25 +39,25 @@ def test_clamped_shapes_vanish_to_order_m():
 
 
 def test_neumann_mass_gram_is_legendre_diagonal():
-    G = derivative_grams(BC_NEUMANN, 1, 6)
+    _, G = shape_table(BC_NEUMANN, 1, 6, 10)
     i = np.arange(6)
-    npt.assert_allclose(G[0, 0], np.diag(2.0 / (2 * i + 1)), atol=1e-14)
+    npt.assert_allclose(G[0], np.diag(2.0 / (2 * i + 1)), atol=1e-14)
 
 
 def test_clamped_mass_gram_hand_value():
     # first clamped shape at m=1 is (1-t^2); its squared L2 norm is 16/15
-    G = derivative_grams(BC_DIRICHLET, 1, 3)
-    npt.assert_allclose(G[0, 0][0, 0], 16.0 / 15.0, rtol=1e-14)
+    _, G = shape_table(BC_DIRICHLET, 1, 3, 7)
+    npt.assert_allclose(G[0, 0, 0], 16.0 / 15.0, rtol=1e-14)
 
 
 def test_pencil_shapes_and_definiteness():
     for m, bc in ((1, BC_DIRICHLET), (2, BC_NEUMANN)):
-        pen = assemble_pencil(m, bc, 6, SQUARE)
-        assert len(pen.blocks) == 4
-        npt.assert_array_equal(np.sort(np.concatenate([b.index for b in pen.blocks])),
+        blocks = assemble_pencil(m, bc, 6, SQUARE)
+        assert len(blocks) == 4
+        npt.assert_array_equal(np.sort(np.concatenate([b.index for b in blocks])),
                                np.arange(36))
         kernel = 0
-        for blk in pen.blocks:
+        for blk in blocks:
             assert blk.matrix.shape == (9, 9)
             assert blk.back_x.shape == blk.back_y.shape == (3, 3)
             npt.assert_array_equal(blk.matrix, blk.matrix.T)
@@ -84,7 +84,7 @@ def test_parity_blocks_match_full_pencil():
                 # check's own products, measured 2.5e-12); what the blocks drop
                 # is quadrature rounding of entries that vanish exactly
                 kept = np.zeros_like(A, dtype=bool)
-                for blk in assemble_pencil(m, bc, n, dom).blocks:
+                for blk in assemble_pencil(m, bc, n, dom):
                     ix = np.ix_(blk.index, blk.index)
                     W = np.kron(blk.back_x, blk.back_y)
                     C = blk.matrix
@@ -109,7 +109,7 @@ def test_oversized_pencil_refused_before_assembly(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembly started")
 
-    monkeypatch.setattr(galerkin, "derivative_grams", no_assembly)
+    monkeypatch.setattr(galerkin, "shape_table", no_assembly)
     with pytest.raises(CapabilityError, match="pencil dimension 2601 exceeds the supported cap 2500"):
         solve_2d_eigensystem(1, BC_DIRICHLET, 51, SQUARE, count=1)
 

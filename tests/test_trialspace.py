@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phlab import trialspace
+from phlab import galerkin, trialspace
 from phlab.galerkin import shape_derivatives, solve_2d_eigensystem
 from phlab.linalg import force_hermitian, gauss_legendre, min_singular_value, solve_gen_eig
 from phlab.model import (BC_NEUMANN, CapabilityError, Domain, GramDegeneracyError,
@@ -92,20 +92,25 @@ def test_chain_certificate_omega_hits_target_level():
 
 
 def test_chain_certificate_builds_shape_factors_once_per_rule(monkeypatch):
+    # two identical solves and the certificates on them evaluate the shape
+    # derivatives once per distinct (bc, m, n, nq): the assembly rule once,
+    # each certificate rule once
     calls = []
-    build = trialspace.shape_derivatives
+    build = galerkin.shape_derivatives
 
     def counted(bc, m, n, t, max_deriv):
-        calls.append(len(t))
+        calls.append((bc, m, n, len(t)))
         return build(bc, m, n, t, max_deriv)
 
-    sysd = solve_2d_eigensystem(2, "dirichlet", 12, SQUARE, count=5)
-    monkeypatch.setattr(trialspace, "shape_derivatives", counted)
-    trialspace._rule_factors.cache_clear()
-    rules = set()
+    monkeypatch.setattr(galerkin, "shape_derivatives", counted)
+    galerkin.shape_table.cache_clear()
+    for _ in range(2):
+        sysd = solve_2d_eigensystem(2, "dirichlet", 12, SQUARE, count=5)
+    rules = {("dirichlet", 2, 12, 12 + 2 * 2 + 2)}
     for k in range(1, 6):
         cert = certified_chain_bound(2, k, sysd)
-        rules.add(trialspace._chain_quad_floor(12, np.hypot(*cert.omega), 1.0))
+        rules.add(("dirichlet", 2, 12,
+                   trialspace._chain_quad_floor(12, np.hypot(*cert.omega), 1.0)))
     assert sorted(calls) == sorted(rules)
 
 
@@ -115,16 +120,16 @@ def _grid_reference_forms(eigsys, k, omega):
     Every basis function and each of its order-m mixed partials is evaluated
     on the nq x nq tensor Gauss rule and the 2d sums are taken directly.
     """
-    pen = eigsys.pencil
-    m, n = pen.m, pen.n
-    lx, ly = pen.domain.lx, pen.domain.ly
+    spec = eigsys.spectrum
+    m, n = spec.m, spec.method.n_per_axis
+    lx, ly = spec.domain.lx, spec.domain.ly
     nq = trialspace._chain_quad_floor(n, float(np.hypot(*omega)), max(lx, ly))
     t, w = gauss_legendre(nq)
     xq, wxq = 0.5 * lx * (t + 1.0), 0.5 * lx * w
     yq, wyq = 0.5 * ly * (t + 1.0), 0.5 * ly * w
     sx, sy = 2.0 / lx, 2.0 / ly
-    Fx = shape_derivatives(pen.bc, m, n, 2.0 * xq / lx - 1.0, max_deriv=m)
-    Fy = shape_derivatives(pen.bc, m, n, 2.0 * yq / ly - 1.0, max_deriv=m)
+    Fx = shape_derivatives(spec.bc, m, n, 2.0 * xq / lx - 1.0, max_deriv=m)
+    Fy = shape_derivatives(spec.bc, m, n, 2.0 * yq / ly - 1.0, max_deriv=m)
     w2d = np.kron(wxq, wyq)
     dim = k + m
     vals = np.empty((dim, nq * nq), dtype=complex)
@@ -202,7 +207,7 @@ def test_chain_gram_degeneracy_detected():
     sysd = solve_2d_eigensystem(1, "dirichlet", 8, SQUARE, count=2)
     V = sysd.vectors.copy()
     V[:, 1] = V[:, 0]
-    broken = type(sysd)(pencil=sysd.pencil, spectrum=sysd.spectrum, vectors=V)
+    broken = type(sysd)(spectrum=sysd.spectrum, vectors=V)
     with pytest.raises(GramDegeneracyError):
         certified_chain_bound(1, 2, broken)
 
