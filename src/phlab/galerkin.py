@@ -168,6 +168,35 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBloc
     return tuple(blocks)
 
 
+@dataclass(frozen=True)
+class _SolvedBlock:
+    """What a later solve of the same pencil needs from one parity block:
+    its flat indices, back-transforms and standard eigenpairs (w, Y)."""
+
+    index: np.ndarray
+    back_x: np.ndarray
+    back_y: np.ndarray
+    w: np.ndarray
+    Y: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _solved_blocks(m: int, bc: str, n: int, domain: Domain) -> tuple[_SolvedBlock, ...]:
+    """The eigenpairs of each parity block, computed once per process and pencil.
+
+    The suite solves several pencils more than once, at different counts and
+    tolerances.  The block matrices are not kept, and the kept arrays are
+    shared between calls, so they are read-only.
+    """
+    solved = []
+    for b in assemble_pencil(m, bc, n, domain):
+        w, Y = hermitian_eig(b.matrix)
+        solved.append(_SolvedBlock(b.index, b.back_x, b.back_y, w, Y))
+        for arr in (b.index, b.back_x, b.back_y, w, Y):
+            arr.flags.writeable = False
+    return tuple(solved)
+
+
 def trusted_capacity(n: int) -> int:
     """How many of the n^2 discrete eigenvalues are exposed as trustworthy."""
     return floor(0.7 * n * n)
@@ -197,9 +226,8 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
         raise CapabilityError(
             f"count={count} exceeds the trusted capacity {cap} of n={n}; increase n"
         )
-    blocks = assemble_pencil(m, bc, n, domain)
-    solved = [hermitian_eig(b.matrix) for b in blocks]
-    w_all = np.concatenate([w for w, _ in solved])
+    blocks = _solved_blocks(check_order(m), check_bc(bc), n, domain)
+    w_all = np.concatenate([b.w for b in blocks])
     order = np.argsort(w_all, kind="stable")
     w = w_all[order]
     # values stay ascending; inside a cluster the vectors follow the position
@@ -208,13 +236,13 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     pick = order[np.lexsort((order, cluster))][:count]
     V = np.zeros((n * n, count), order="F")  # columns contiguous, as eigh returns them
     start = 0
-    for b, (wb, Yb) in zip(blocks, solved):
-        cols = np.flatnonzero((pick >= start) & (pick < start + wb.size))
+    for b in blocks:
+        cols = np.flatnonzero((pick >= start) & (pick < start + b.w.size))
         # back-transform only the picked columns, one axis at a time
-        Y = Yb[:, pick[cols] - start].reshape(b.back_x.shape[0], b.back_y.shape[0], cols.size)
+        Y = b.Y[:, pick[cols] - start].reshape(b.back_x.shape[0], b.back_y.shape[0], cols.size)
         V[np.ix_(b.index, cols)] = np.einsum("ik,jl,klc->ijc", b.back_x, b.back_y, Y,
                                              optimize=True).reshape(b.index.size, cols.size)
-        start += wb.size
+        start += b.w.size
     # validate the zero block against the eigenvalue right after it, even when
     # the caller asked for fewer entries than the block holds
     z = n_poly_dim(2, m) if bc == BC_NEUMANN else 0

@@ -187,6 +187,7 @@ def test_indefinite_mass_matrix_is_numerical_error(monkeypatch, capsys):
         return F, G
 
     monkeypatch.setattr(galerkin, "shape_table", indefinite_mass)
+    galerkin._solved_blocks.cache_clear()
     code, out, err = run_cli(capsys, "spectrum2d", "--m", "3", "--bc", "dirichlet",
                              "--n", "12", "--count", "20")
     assert code == 3 and out == ""

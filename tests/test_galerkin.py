@@ -114,6 +114,31 @@ def test_oversized_pencil_refused_before_assembly(monkeypatch):
         solve_2d_eigensystem(1, BC_DIRICHLET, 51, SQUARE, count=1)
 
 
+def test_repeated_solve_reuses_block_eigenpairs(monkeypatch):
+    # a second solve of one pencil at a larger count assembles nothing and
+    # returns fresh arrays whose leading columns equal the first solve's
+    assembled = []
+    assemble = galerkin.assemble_pencil
+
+    def counted(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(galerkin, "assemble_pencil", counted)
+    galerkin._solved_blocks.cache_clear()
+    dom = Domain.rectangle(1.0, 0.7)
+    small = solve_2d_eigensystem(2, BC_NEUMANN, 10, dom, count=5)
+    large = solve_2d_eigensystem(2, BC_NEUMANN, 10, dom, count=12)
+    assert len(assembled) == 1
+    npt.assert_array_equal(large.spectrum.values[:5], small.spectrum.values)
+    npt.assert_array_equal(large.vectors[:, :5], small.vectors)
+    for arr in (large.spectrum.values, large.vectors):
+        assert arr.flags.writeable
+    for blk in galerkin._solved_blocks(2, BC_NEUMANN, 10, dom):
+        for arr in (blk.index, blk.back_x, blk.back_y, blk.w, blk.Y):
+            assert not arr.flags.writeable
+
+
 def test_min_basis_size_enforced():
     with pytest.raises(InvalidArgumentError):
         assemble_pencil(3, BC_DIRICHLET, 3, SQUARE)

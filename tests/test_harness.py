@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from phlab import galerkin
 from phlab.galerkin import solve_2d_spectrum
 from phlab.harness import (ALIASES, CLAIMS, SUITE_JOBS, conjecture_probe,
                            dm_norm_sq, h0_sample_coeffs, laplacian_power_norm,
@@ -167,3 +168,20 @@ def test_suite_deterministic_across_worker_counts():
     assert suite_passed(first)
     assert [r.claim_id for r in first] == sorted(CLAIMS)
     assert [r.as_json() for r in first] == [r.as_json() for r in again]
+
+
+def test_suite_assembles_each_distinct_pencil_once(monkeypatch):
+    # the suite's 23 rectangle solves cover 14 distinct pencils
+    assembled = []
+    assemble = galerkin.assemble_pencil
+
+    def counted(*args):
+        assembled.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(galerkin, "assemble_pencil", counted)
+    galerkin._solved_blocks.cache_clear()
+    run_suite(_cfg())
+    info = galerkin._solved_blocks.cache_info()
+    assert info.hits + info.misses == 23
+    assert len(assembled) == len(set(assembled)) == 14

@@ -104,6 +104,7 @@ def test_chain_certificate_builds_shape_factors_once_per_rule(monkeypatch):
 
     monkeypatch.setattr(galerkin, "shape_derivatives", counted)
     galerkin.shape_table.cache_clear()
+    galerkin._solved_blocks.cache_clear()
     for _ in range(2):
         sysd = solve_2d_eigensystem(2, "dirichlet", 12, SQUARE, count=5)
     rules = {("dirichlet", 2, 12, 12 + 2 * 2 + 2)}
