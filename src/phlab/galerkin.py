@@ -22,10 +22,11 @@ Each block's mass is a Kronecker product of two 1d mass blocks, so it is
 reduced to the identity one axis at a time (the generalized-eigenproblem
 form of the fast diagonalization of Lynch, Rice & Thomas, 1964): each 1d
 mass block is whitened by its own Cholesky factor, whose condition is the
-square root of the 2d one, and the whitened 1d Grams are combined into one
-standard symmetric matrix per block.  No n^2-sized stiffness or mass matrix
-is formed.  Each block goes to one symmetric eigensolve, and the spectra are
-merged in a fixed order inside clusters of equal values.
+square root of the 2d one, and the whitened 1d Grams are combined by one
+einsum into one standard symmetric matrix per block.  No n^2-sized stiffness
+or mass matrix is formed.  Each block goes to one symmetric eigensolve, whose
+eigenpairs are kept for later solves of the same pencil in the process, and
+the spectra are merged in a fixed order inside clusters of equal values.
 """
 
 from __future__ import annotations
@@ -148,6 +149,7 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBloc
     for Ga in G:
         force_hermitian(Ga)  # the quadrature must give symmetric 1d Grams
     parity = [np.arange(p, n, 2) for p in (0, 1)]
+    binom = np.array([comb(m, a) for a in range(m + 1)], dtype=float)
     blocks = []
     # the stiffness scales as (2 / side)^(2m); with numpy scalars an overflow
     # turns into inf entries, which the check below refuses
@@ -156,7 +158,11 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBloc
         y_axis = [_reduced_axis(G[0], F, I, np.float64(2.0 / domain.ly)) for I in parity]
         for px, py in PARITY_BLOCKS:
             (Rx, Wx), (Ry, Wy) = x_axis[px], y_axis[py]
-            C = sum(comb(m, a) * np.kron(Rx[a], Ry[m - a]) for a in range(m + 1))
+            # C[(i, j), (k, l)] = sum_a C(m,a) Rx[a, i, k] Ry[m-a, j, l]; the
+            # unoptimized einsum sums each entry in one order, so C stays
+            # exactly symmetric
+            dim = Wx.shape[0] * Wy.shape[0]
+            C = np.einsum("a,aik,ajl->ijkl", binom, Rx, Ry[::-1]).reshape(dim, dim)
             # no eigenvalue of C exceeds its dimension times its largest entry
             if not np.isfinite(C.shape[0] * np.abs(C).max()):
                 raise CapabilityError(

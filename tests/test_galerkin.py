@@ -105,6 +105,23 @@ def test_parity_blocks_match_full_pencil():
                 npt.assert_allclose(V.T @ B @ V, np.eye(cap), atol=1e-10)
 
 
+def test_block_matrix_is_the_kronecker_sum_of_whitened_grams():
+    # reference: the Python sum of C(m,a) kron(R^x_a, R^y_(m-a)) of each block,
+    # to the rounding of m + 1 products summed in another order
+    n, dom = 9, Domain.rectangle(1.0, 0.6)
+    for m in (1, 2, 3):
+        for bc in (BC_DIRICHLET, BC_NEUMANN):
+            F, G = shape_table(bc, m, n, n + 2 * m + 2)
+            parity = [np.arange(p, n, 2) for p in (0, 1)]
+            for (px, py), blk in zip(galerkin.PARITY_BLOCKS, assemble_pencil(m, bc, n, dom)):
+                Rx, _ = galerkin._reduced_axis(G[0], F, parity[px], 2.0 / dom.lx)
+                Ry, _ = galerkin._reduced_axis(G[0], F, parity[py], 2.0 / dom.ly)
+                ref = sum(comb(m, a) * np.kron(Rx[a], Ry[m - a]) for a in range(m + 1))
+                npt.assert_allclose(blk.matrix, ref, rtol=0,
+                                    atol=4 * (m + 1) * np.finfo(float).eps * np.abs(ref).max())
+                npt.assert_array_equal(blk.matrix, blk.matrix.T)
+
+
 def test_oversized_pencil_refused_before_assembly(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembly started")
