@@ -67,7 +67,7 @@ class ToleranceConfig:
     """Numerical tolerances used throughout.
 
     tol_zero      relative threshold for clamping near-zero eigenvalues
-    tol_root      relative width target for 1d root bisection
+    tol_root      relative width target for the 1d root brackets
     tol_identity  bound for pointwise identity residuals in the trial space
     margin_factor strictness safety factor against rounding in theorem-strict
     """

@@ -15,7 +15,10 @@ boundary conditions applied to that basis is singular; clamped ends
 constrain derivative orders 0..m-1, free ends the complementary orders
 m..2m-1.  The determinant sign is scanned on a uniform beta grid, one
 stacked slogdet per block of grid points, and all sign-change brackets are
-then bisected together, one stacked slogdet per halving step.
+then refined together, one stacked slogdet per step: regula falsi on the
+signed determinant, a guard point a fraction of the tolerance past its
+estimate, and the midpoint, so that no bracket takes more steps than
+bisection (the safeguards of Dekker's and Brent's zero-finders).
 """
 
 from __future__ import annotations
@@ -114,7 +117,16 @@ def positive_roots(m: int, bc: str, count: int, length: float = 1.0,
     The sign is scanned on the beta grid in blocks of SCAN_BLOCK points up to
     the block holding the count-th root; a grid point with sign 0 is a root,
     and each sign change between neighbours is a bracket.  All brackets are
-    then halved together until each meets tol_root.
+    then refined together until each meets tol_root, one stacked determinant
+    call per step.  A step evaluates three points inside each bracket and
+    keeps the part between the first sign change:
+      - the regula falsi estimate, the zero of the chord through the bracket
+        ends on f = sign * exp(logmag);
+      - a guard a quarter of tol_root (relative in lam) past the estimate
+        toward the farther end, so that an estimate within tolerance of the
+        root closes its bracket at once;
+      - the midpoint, so that every step at least halves every bracket and
+        no bracket takes more steps than bisection.
     """
     m = check_order(m)
     bc = check_bc(bc)
@@ -135,19 +147,20 @@ def positive_roots(m: int, bc: str, count: int, length: float = 1.0,
             f"lam = beta^{two_m} would leave double precision"
         )
 
-    def sign(beta: np.ndarray) -> np.ndarray:
-        return det_indicator(m, beta ** two_m, bc, length)[0]
+    def indicator(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return det_indicator(m, beta ** two_m, bc, length)
 
     # cumulative sums reproduce the repeated beta + step of a point-by-point
     # scan; a small count evaluates little more than the grid up to beta_max
     block = min(SCAN_BLOCK, int(beta_max / step) + 1)
     beta = np.cumsum(np.full(block + 1, step))
-    s = sign(beta)
+    s, g = indicator(beta)
     brackets, found = [], 0
     while True:
         hit = (s[1:] == 0) | ((s[1:] != s[:-1]) & (s[:-1] != 0))
         idx = np.flatnonzero(hit & (beta[1:] <= beta_max))[:count - found]
-        brackets.append(np.stack((beta[idx], beta[idx + 1], s[idx], s[idx + 1])))
+        brackets.append(np.stack((beta[idx], beta[idx + 1], s[idx], s[idx + 1],
+                                  g[idx], g[idx + 1])))
         found += idx.size
         if found == count:
             break
@@ -156,9 +169,10 @@ def positive_roots(m: int, bc: str, count: int, length: float = 1.0,
                 f"found only {found} of {count} roots below beta={beta_max:.3g}"
             )
         beta = np.cumsum(np.concatenate((beta[-1:], np.full(block, step))))
-        s = np.concatenate((s[-1:], sign(beta[1:])))
+        s_next, g_next = indicator(beta[1:])
+        s, g = np.concatenate((s[-1:], s_next)), np.concatenate((g[-1:], g_next))
 
-    lo, hi, s_lo, s_hi = np.concatenate(brackets, axis=1)
+    lo, hi, s_lo, s_hi, g_lo, g_hi = np.concatenate(brackets, axis=1)
     roots = hi ** two_m
     active = s_hi != 0
     for _ in range(200):
@@ -171,14 +185,25 @@ def positive_roots(m: int, bc: str, count: int, length: float = 1.0,
         if not active.any():
             return roots
         i = np.flatnonzero(active)
-        s = sign(mid[i])
-        up = s == s_lo[i]
-        lo[i[up]] = mid[i[up]]
-        hi[i[~up]] = mid[i[~up]]
-        zero = i[s == 0]
-        roots[zero] = lam_mid[zero]
-        active[zero] = False
-    raise NumericalError("bisection exceeded 200 steps without meeting tol_root")
+        a, b = lo[i], hi[i]
+        # |f_lo| / (|f_lo| + |f_hi|), from the log-magnitudes; exp may overflow to inf
+        with np.errstate(over="ignore"):
+            x = a + (b - a) / (1.0 + np.exp(g_hi[i] - g_lo[i]))
+        guard = x + np.copysign(0.25 * tol.tol_root / two_m * x, (b - x) - (x - a))
+        inner = np.sort(np.stack((x, np.clip(guard, a, b), mid[i]), axis=1), axis=1)
+        s_in, g_in = indicator(inner)
+        pts = np.column_stack((a, inner, b))
+        sgn = np.column_stack((s_lo[i], s_in, s_hi[i]))
+        lgm = np.column_stack((g_lo[i], g_in, g_hi[i]))
+        row = np.arange(i.size)
+        j = np.argmax(sgn[:, :-1] != sgn[:, 1:], axis=1)
+        lo[i], hi[i] = pts[row, j], pts[row, j + 1]
+        s_lo[i], s_hi[i] = sgn[row, j], sgn[row, j + 1]
+        g_lo[i], g_hi[i] = lgm[row, j], lgm[row, j + 1]
+        zero = (s_in == 0).any(axis=1)
+        roots[i[zero]] = inner[zero, np.argmax(s_in[zero] == 0, axis=1)] ** two_m
+        active[i[zero]] = False
+    raise NumericalError("root refinement exceeded 200 steps without meeting tol_root")
 
 
 def solve_1d_spectrum(m: int, bc: str, count: int, length: float = 1.0,

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from phlab import oned
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, InvalidArgumentError,
                          ToleranceConfig)
 from phlab.oned import (boundary_matrix, characteristic_roots, check_root_coincidence,
@@ -91,14 +92,14 @@ def test_det_indicator_stack_matches_scalar_calls():
 def test_positive_roots_laplace_exact():
     k = np.arange(1, 11)
     lam_d = positive_roots(1, BC_DIRICHLET, 10)
-    npt.assert_allclose(lam_d, (k * np.pi) ** 2, rtol=1e-10)
+    npt.assert_allclose(lam_d, (k * np.pi) ** 2, rtol=1e-11)
     lam_n = positive_roots(1, BC_NEUMANN, 10)
-    npt.assert_allclose(lam_n, (k * np.pi) ** 2, rtol=1e-10)
+    npt.assert_allclose(lam_n, (k * np.pi) ** 2, rtol=1e-11)
 
 
 def test_positive_roots_beam_oracle():
     lam = positive_roots(2, BC_DIRICHLET, 8)
-    npt.assert_allclose(lam, BEAM_BETAS ** 4, rtol=1e-9)
+    npt.assert_allclose(lam, BEAM_BETAS ** 4, rtol=1e-11)
 
 
 def test_sixty_roots_coincide_and_follow_asymptote():
@@ -111,6 +112,36 @@ def test_sixty_roots_coincide_and_follow_asymptote():
         dev = np.abs(lam_d ** (1.0 / (2 * m)) / np.pi - (k + 0.5 * (m - 1)))
         assert dev.max() < 1e-2
         assert dev[9:].max() < 1e-10
+
+
+def _counted_roots(monkeypatch, *args):
+    calls = []
+    indicator = oned.det_indicator
+
+    def counted(*a):
+        calls.append(a)
+        return indicator(*a)
+
+    monkeypatch.setattr(oned, "det_indicator", counted)
+    return positive_roots(*args), len(calls)
+
+
+@pytest.mark.parametrize("length", [1.0, 1e-3, 1e3])
+def test_root_refinement_takes_few_stacked_steps(monkeypatch, length):
+    # one scan call covers every count here; a bisection of its brackets
+    # (width one scan step) halves until the lam-width meets tol_root at the
+    # first root, about log2(2m step / (tol_root beta_1)) times, 36 here
+    tol_root = ToleranceConfig().tol_root
+    step = 0.02 * np.pi / length
+    for m in (1, 2, 3):
+        for bc in (BC_DIRICHLET, BC_NEUMANN):
+            for count in (2, 10, 60):
+                lam, calls = _counted_roots(monkeypatch, m, bc, count, length)
+                beta_1 = lam[0] ** (1.0 / (2 * m))
+                bisection = 1 + np.ceil(np.log2(2 * m * step / (tol_root * beta_1)))
+                assert calls <= bisection
+                if length == 1.0:
+                    assert calls <= 16
 
 
 def test_roots_are_simple():
