@@ -225,6 +225,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     spectral discretization is dominated by unresolved modes and is never
     exposed.
     """
+    check_pencil_dim(n * n)
     cap = trusted_capacity(n)
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")

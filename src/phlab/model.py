@@ -346,7 +346,14 @@ def validate_config(raw: dict) -> RunConfig:
 
     def _float(name):  # an integer widens to float; anything else is left as given
         v = cfg[name]
-        return float(v) if isinstance(v, int) and not isinstance(v, bool) else v
+        if not isinstance(v, int) or isinstance(v, bool):
+            return v
+        try:
+            return float(v)
+        except OverflowError:
+            raise InvalidArgumentError(
+                f"{name} must be a finite number, got an integer too large for a double"
+            ) from None
 
     def _pos(name):
         v = _float(name)

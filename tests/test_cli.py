@@ -162,6 +162,19 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert code == 2 and "unknown config key" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("key, message", [("lx", "too large for a double"),
+                                          ("tol_root", "too large for a double"),
+                                          ("n", "exceeds the supported cap")])
+def test_config_file_huge_integer_is_exit_2(tmp_path, capsys, key, message):
+    # JSON integers are unbounded; one too large for a double is refused up front
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"%s": 1%s}' % (key, "0" * 400))
+    code, out, err = run_cli(capsys, "spectrum2d", "--m", "1", "--bc", "dirichlet",
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert message in json.loads(err)["error"]
+
+
 def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")
