@@ -8,13 +8,13 @@ spectra.  See the README for the command-line interface.
 
 import os
 
-# OpenBLAS worker threads busy-wait for about 2^28 cycles when they start and
-# after each threaded call.  A phlab command is short and mostly runs on one
-# thread, so on a loaded machine that spin takes the CPU from the main thread
-# and adds a varying 0.05-0.15 s to every process.  The shortest timeout (2^4
-# cycles) lets the workers sleep at once; it must be set before numpy loads
-# OpenBLAS, and a value the user set is kept.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+# phlab's dense kernels are small: each eigensolve is one parity block of
+# dimension about n^2/4 <= 625.  At these sizes a second OpenBLAS thread makes
+# eigh slower, not faster, and idle OpenBLAS workers busy-wait between calls,
+# taking the CPU from the main thread.  So phlab runs BLAS on one thread.  The
+# setting must be made before numpy loads OpenBLAS, and a value the user set
+# is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .galerkin import (assemble_pencil, convergence_study, solve_2d_eigensystem,
                        solve_2d_spectrum, trusted_capacity)

@@ -281,6 +281,18 @@ def test_commands_do_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_defaults_to_one_blas_thread(preset, expected):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c",
+                           "import os, phlab; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == expected
+
+
 def test_stable_output_identical_across_blas_threads():
     outs = []
     for threads in ("1", "2"):
