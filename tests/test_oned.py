@@ -114,34 +114,26 @@ def test_sixty_roots_coincide_and_follow_asymptote():
         assert dev[9:].max() < 1e-10
 
 
-def _counted_roots(monkeypatch, *args):
-    calls = []
-    indicator = oned.det_indicator
-
-    def counted(*a):
-        calls.append(a)
-        return indicator(*a)
-
-    monkeypatch.setattr(oned, "det_indicator", counted)
-    return positive_roots(*args), len(calls)
-
-
 @pytest.mark.parametrize("length", [1.0, 1e-3, 1e3])
 def test_root_refinement_takes_few_stacked_steps(monkeypatch, length):
     # one scan call covers every count here; a bisection of its brackets
     # (width one scan step) halves until the lam-width meets tol_root at the
     # first root, about log2(2m step / (tol_root beta_1)) times, 36 here
+    calls = []
+    indicator = oned.det_indicator
+    monkeypatch.setattr(oned, "det_indicator", lambda *a: calls.append(a) or indicator(*a))
     tol_root = ToleranceConfig().tol_root
     step = 0.02 * np.pi / length
     for m in (1, 2, 3):
         for bc in (BC_DIRICHLET, BC_NEUMANN):
             for count in (2, 10, 60):
-                lam, calls = _counted_roots(monkeypatch, m, bc, count, length)
+                calls.clear()
+                lam = positive_roots(m, bc, count, length)
                 beta_1 = lam[0] ** (1.0 / (2 * m))
                 bisection = 1 + np.ceil(np.log2(2 * m * step / (tol_root * beta_1)))
-                assert calls <= bisection
+                assert len(calls) <= bisection
                 if length == 1.0:
-                    assert calls <= 16
+                    assert len(calls) <= 16
 
 
 def test_roots_are_simple():
