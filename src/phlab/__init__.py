@@ -26,8 +26,7 @@ from .model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, CheckRecord, Doma
                     NumericalError, PhlabError, RunConfig, Spectrum,
                     ToleranceConfig, VerificationReport, merge_config, n_poly_dim,
                     validate_config)
-from .oned import (characteristic_roots, check_root_coincidence, det_indicator,
-                   positive_roots, solve_1d_spectrum)
+from .oned import characteristic_roots, det_indicator, positive_roots, solve_1d_spectrum
 from .trialspace import (TrialSpace, certified_chain_bound, roots_of_unity,
                          vandermonde_check, verify_mth_gradient_identity,
                          verify_pde_identity)
@@ -40,7 +39,7 @@ __all__ = [
     "MethodInfo", "NumericalError", "PhlabError", "RunConfig", "Spectrum",
     "ToleranceConfig", "TrialSpace", "VerificationReport",
     "assemble_pencil", "certified_chain_bound",
-    "characteristic_roots", "check_root_coincidence",
+    "characteristic_roots",
     "convergence_study", "det_indicator", "gauss_legendre",
     "merge_config", "n_poly_dim", "positive_roots", "roots_of_unity",
     "run_claim", "run_suite", "solve_1d_spectrum",

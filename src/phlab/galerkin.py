@@ -255,8 +255,8 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     z = n_poly_dim(2, m) if bc == BC_NEUMANN else 0
     probe_len = min(max(count, z + 1), w.size)
     full = make_spectrum(m, bc, domain, MethodInfo("Galerkin2D", n_per_axis=n),
-                         w[:probe_len], trusted_count=probe_len, tol=tol)
-    spectrum = replace(full, values=full.values[:count], trusted_count=count)
+                         w[:probe_len], tol=tol)
+    spectrum = replace(full, values=full.values[:count])
     return Eigensystem2D(spectrum=spectrum, vectors=V)
 
 

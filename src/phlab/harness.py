@@ -5,25 +5,29 @@ Every claim produces a VerificationReport whose records carry
 (strict claims demand positive slack).  Claims embed the configuration that
 produced them, so a report is reproducible bit for bit.
 
-Claim ids are stable strings; the registry at the bottom maps them (and a
-few short aliases accepted by the command line) to builder functions that
-take a RunConfig.  The canonical suite is a fixed list of (claim_id,
-config-override) jobs; jobs of the same claim merge into a single report.
+Each claim is one function claim_<id>(cfg: RunConfig) that computes the
+spectra it needs and compares them.  cfg.perturb scales the computed free
+eigenvalues of oned-coincidence, theorem-strict, weak-minmax and
+convex-square by (1 + perturb), a failure-injection hook for exit-code
+testing.  The registry at the bottom maps claim ids (and a few short aliases
+accepted by the command line) to these functions.  The canonical suite is a
+fixed list of (claim_id, config-override) jobs; jobs of the same claim merge
+into a single report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb, pi, sqrt
 from typing import Callable
 
 import numpy as np
 
-from .galerkin import ConvergenceTable, convergence_study, solve_2d_eigensystem, solve_2d_spectrum
+from .galerkin import convergence_study, solve_2d_eigensystem, solve_2d_spectrum
 from .linalg import gauss_legendre
 from .model import (BC_DIRICHLET, BC_NEUMANN, CheckRecord, Domain, InvalidArgumentError,
                     RunConfig, Spectrum, VerificationReport, n_poly_dim)
-from .oned import check_root_coincidence, solve_1d_spectrum
+from .oned import positive_roots, solve_1d_spectrum
 from .trialspace import (GRAM_SV_FLOOR, TrialSpace, certified_chain_bound, roots_of_unity,
                          vandermonde_check, verify_mth_gradient_identity, verify_pde_identity)
 
@@ -46,103 +50,56 @@ def square_laplacian_eigs(bc: str, count: int, lx: float = 1.0, ly: float = 1.0)
     return np.sort(vals, axis=None)[:count]
 
 
-def _require_matched(spec_D: Spectrum, spec_N: Spectrum) -> None:
-    if spec_D.bc != BC_DIRICHLET or spec_N.bc != BC_NEUMANN:
-        raise InvalidArgumentError("expected a clamped spectrum first and a free one second")
-    if spec_D.m != spec_N.m or spec_D.domain != spec_N.domain:
-        raise InvalidArgumentError("spectra must share operator order and domain")
-
-
-def _scaled_positive(spec: Spectrum, factor: float) -> Spectrum:
-    """Scale the positive entries of a spectrum; zero modes stay exact zeros."""
-    if factor == 1.0:
-        return spec
-    vals = spec.values.copy()
-    vals[vals > 0.0] *= factor
-    return replace(spec, values=vals)
+def merge_reports(claim_id: str, parts: list[VerificationReport]) -> VerificationReport:
+    """Combine several runs of one claim into a single report, in run order."""
+    if not parts:
+        raise InvalidArgumentError("nothing to merge")
+    records = tuple(r for p in parts for r in p.details)
+    notes = " | ".join(dict.fromkeys(p.notes for p in parts if p.notes))
+    return VerificationReport(
+        claim_id=claim_id,
+        passed=all(p.passed for p in parts),
+        details=records,
+        notes=notes,
+        config_echo={"jobs": [p.config_echo for p in parts]},
+    )
 
 
 # ---------------------------------------------------------------------------
 # individual claims
 
 
-def verify_theorem_main(spec_N: Spectrum, k_max: int) -> VerificationReport:
-    """Certificate of the strict shifted comparison mu_{k+m} < lambda_k.
+def claim_oned_coincidence(cfg: RunConfig) -> VerificationReport:
+    """On an interval the two boundary determinants share every positive root.
 
-    On H^m_0 the clamped form equals ||(-Lap_D)^(m/2) u||^2, so min-max gives
-    lambda_k >= nu_k^m with nu_k the exact Dirichlet Laplacian eigenvalues of
-    the rectangle.  The computed mu_hat_{k+m} is an upper bound of the true
-    free eigenvalue, so mu_hat_{k+m} < nu_k^m certifies the inequality for the
-    true spectra.  The gap must also beat margin_factor times the rounding
-    tol_zero * mu_hat_{z+1}, z = n_poly_dim(2, m), that the spectrum already
-    accepts in its zero block.
+    Compares the first `count` positive eigenvalues of the clamped and the
+    free problem pairwise, to 1e-8 relative; with the free problem's m zero
+    modes this means the free eigenvalue with index k+m equals the clamped
+    one with index k.
     """
-    if spec_N.bc != BC_NEUMANN:
-        raise InvalidArgumentError("the comparison needs the free spectrum")
-    if spec_N.domain.dimension != 2:
-        raise InvalidArgumentError(
-            "interval domains are excluded: there the free eigenvalue with index "
-            "k+m equals the clamped k-th eigenvalue exactly, so no strict gap exists"
-        )
-    m, dom = spec_N.m, spec_N.domain
-    z = n_poly_dim(2, m)
-    if k_max < 1 or max(k_max + m, z + 1) > spec_N.trusted_count:
-        raise InvalidArgumentError(f"k_max={k_max} outside the trusted range")
-    nu = square_laplacian_eigs(BC_DIRICHLET, k_max, dom.lx, dom.ly)
-    tol, mf = spec_N.tol.tol_zero, spec_N.tol.margin_factor
-    rounding = mf * tol * spec_N.value(z + 1)
-    records = []
-    for k in range(1, k_max + 1):
-        lhs = spec_N.value(k + m)
-        rhs = float(nu[k - 1]) ** m
-        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs - lhs) - rounding))
+    m, count, length, rel_tol = cfg.m, cfg.count, cfg.length, 1e-8
+    lam_d = positive_roots(m, BC_DIRICHLET, count, length, cfg.tol)
+    lam_n = positive_roots(m, BC_NEUMANN, count, length, cfg.tol) * (1.0 + cfg.perturb)
+    records = tuple(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=rel_tol - abs(lhs - rhs) / rhs)
+                    for k, (lhs, rhs) in enumerate(zip(lam_n.tolist(), lam_d.tolist()), start=1))
     return VerificationReport(
-        claim_id="theorem-strict",
-        passed=all(r.slack > 0.0 for r in records),
-        details=tuple(records),
-        notes=(f"computed free eigenvalue k+{m} (an upper bound) against nu_k^{m}, the "
-               f"power {m} of the exact Dirichlet Laplacian eigenvalue k, a lower bound "
-               f"of the clamped eigenvalue k (lambda_k >= nu_k^{m}); each gap must beat "
-               f"{mf:g} * tol_zero * mu_hat_{z + 1} = {rounding:.3e}, the rounding the "
-               f"free spectrum accepts in its zero block"),
-        config_echo={"m": m, "domain": dom.as_json(), "n": spec_N.method.n_per_axis,
-                     "k_max": k_max, "margin_factor": mf, "tol_zero": tol},
-    )
-
-
-def verify_weak_minmax(spec_D: Spectrum, spec_N: Spectrum, k_max: int) -> VerificationReport:
-    """Unshifted comparison mu_hat_k <= lambda_hat_k (1 + 1e-9) for k <= k_max."""
-    _require_matched(spec_D, spec_N)
-    if k_max < 1 or k_max > min(spec_D.trusted_count, spec_N.trusted_count):
-        raise InvalidArgumentError(f"k_max={k_max} outside the trusted ranges")
-    records = []
-    for k in range(1, k_max + 1):
-        lhs, rhs = spec_N.value(k), spec_D.value(k)
-        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs,
-                                   slack=(rhs * (1.0 + 1e-9) - lhs) / rhs))
-    return VerificationReport(
-        claim_id="weak-minmax",
+        claim_id="oned-coincidence",
         passed=all(r.slack >= 0.0 for r in records),
-        details=tuple(records),
-        notes="every trial space admissible for the clamped problem is admissible "
-              "for the free one, so free eigenvalues sit below clamped ones at "
-              "equal rank",
-        config_echo={"m": spec_D.m, "domain": spec_D.domain.as_json(),
-                     "method": spec_D.method.as_json(), "k_max": k_max},
+        details=records,
+        notes=(f"first {count} positive roots of the clamped and free boundary "
+               f"determinants on (0, {length:g}) at m={m}, compared to "
+               f"relative tolerance {rel_tol:g}"),
+        config_echo={"m": m, "count": count, "length": length, "rel_tol": rel_tol,
+                     "perturb": cfg.perturb},
     )
 
 
-def verify_zero_modes(spec_N: Spectrum, d: int, m: int) -> VerificationReport:
-    """The free spectrum opens with exactly n_poly_dim(d, m) zeros, then positives."""
-    if spec_N.bc != BC_NEUMANN:
-        raise InvalidArgumentError("zero modes are a property of the free spectrum")
-    if spec_N.domain.dimension != d or spec_N.m != m:
-        raise InvalidArgumentError("spectrum does not match the requested (d, m)")
+def _zero_modes(spec: Spectrum) -> VerificationReport:
+    """One (d, m) part of zero-modes: exactly n_poly_dim(d, m) zeros, then a positive value."""
+    d, m = spec.domain.dimension, spec.m
     expected = n_poly_dim(d, m)
-    found = int(np.sum(spec_N.values == 0.0))
-    if expected >= spec_N.values.size:
-        raise InvalidArgumentError("spectrum too short to see past the zero block")
-    first_pos = float(spec_N.values[expected])
+    found = int(np.sum(spec.values == 0.0))
+    first_pos = float(spec.values[expected])
     records = (
         CheckRecord(k=1, lhs=float(found), rhs=float(expected),
                     slack=0.0 if found == expected else -abs(found - expected)),
@@ -156,8 +113,76 @@ def verify_zero_modes(spec_N: Spectrum, d: int, m: int) -> VerificationReport:
                f"polynomials of degree <= {m - 1}, dimension {expected}; "
                f"record 1 counts clamped-to-zero eigenvalues, record 2 shows the "
                f"first positive one"),
-        config_echo={"d": d, "m": m, "method": spec_N.method.as_json(),
-                     "tol_zero": spec_N.tol.tol_zero},
+        config_echo={"d": d, "m": m, "method": spec.method.as_json(),
+                     "tol_zero": spec.tol.tol_zero},
+    )
+
+
+def claim_zero_modes(cfg: RunConfig) -> VerificationReport:
+    """The free spectrum opens with exactly n_poly_dim(d, m) zeros, for d = 1, 2 and m = 1..3."""
+    dom = Domain.rectangle(cfg.lx, cfg.ly)
+    specs = [solve_1d_spectrum(m, BC_NEUMANN, m + 2, cfg.length, cfg.tol) for m in (1, 2, 3)]
+    specs += [solve_2d_spectrum(m, BC_NEUMANN, cfg.n, dom, n_poly_dim(2, m) + 3, cfg.tol)
+              for m in (1, 2, 3)]
+    return merge_reports("zero-modes", [_zero_modes(s) for s in specs])
+
+
+def claim_theorem_strict(cfg: RunConfig) -> VerificationReport:
+    """Certificate of the strict shifted comparison mu_{k+m} < lambda_k.
+
+    On H^m_0 the clamped form equals ||(-Lap_D)^(m/2) u||^2, so min-max gives
+    lambda_k >= nu_k^m with nu_k the exact Dirichlet Laplacian eigenvalues of
+    the rectangle.  The computed mu_hat_{k+m} is an upper bound of the true
+    free eigenvalue, so mu_hat_{k+m} < nu_k^m certifies the inequality for the
+    true spectra.  The gap must also beat margin_factor times the rounding
+    tol_zero * mu_hat_{z+1}, z = n_poly_dim(2, m), that the spectrum already
+    accepts in its zero block.  There is no interval version: there the free
+    eigenvalue with index k+m equals the clamped k-th eigenvalue exactly.
+    """
+    m, k_max, dom = cfg.m, cfg.k_max, Domain.rectangle(cfg.lx, cfg.ly)
+    z = n_poly_dim(2, m)
+    mu = solve_2d_spectrum(m, BC_NEUMANN, cfg.n, dom, max(k_max + m, z + 1),
+                           cfg.tol).values * (1.0 + cfg.perturb)
+    nu = square_laplacian_eigs(BC_DIRICHLET, k_max, dom.lx, dom.ly)
+    tol, mf = cfg.tol.tol_zero, cfg.tol.margin_factor
+    rounding = mf * tol * float(mu[z])
+    records = []
+    for k in range(1, k_max + 1):
+        lhs = float(mu[k + m - 1])
+        rhs = float(nu[k - 1]) ** m
+        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs - lhs) - rounding))
+    return VerificationReport(
+        claim_id="theorem-strict",
+        passed=all(r.slack > 0.0 for r in records),
+        details=tuple(records),
+        notes=(f"computed free eigenvalue k+{m} (an upper bound) against nu_k^{m}, the "
+               f"power {m} of the exact Dirichlet Laplacian eigenvalue k, a lower bound "
+               f"of the clamped eigenvalue k (lambda_k >= nu_k^{m}); each gap must beat "
+               f"{mf:g} * tol_zero * mu_hat_{z + 1} = {rounding:.3e}, the rounding the "
+               f"free spectrum accepts in its zero block"),
+        config_echo={"m": m, "domain": dom.as_json(), "n": cfg.n,
+                     "k_max": k_max, "margin_factor": mf, "tol_zero": tol},
+    )
+
+
+def claim_weak_minmax(cfg: RunConfig) -> VerificationReport:
+    """Unshifted comparison mu_hat_k <= lambda_hat_k (1 + 1e-9) for k <= k_max."""
+    dom = Domain.rectangle(cfg.lx, cfg.ly)
+    spec_D = solve_2d_spectrum(cfg.m, BC_DIRICHLET, cfg.n, dom, cfg.k_max, cfg.tol)
+    spec_N = solve_2d_spectrum(cfg.m, BC_NEUMANN, cfg.n, dom, cfg.k_max, cfg.tol)
+    mu = spec_N.values * (1.0 + cfg.perturb)
+    records = tuple(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs * (1.0 + 1e-9) - lhs) / rhs)
+                    for k, (lhs, rhs) in enumerate(zip(mu.tolist(), spec_D.values.tolist()),
+                                                   start=1))
+    return VerificationReport(
+        claim_id="weak-minmax",
+        passed=all(r.slack >= 0.0 for r in records),
+        details=records,
+        notes="every trial space admissible for the clamped problem is admissible "
+              "for the free one, so free eigenvalues sit below clamped ones at "
+              "equal rank",
+        config_echo={"m": cfg.m, "domain": dom.as_json(),
+                     "method": spec_D.method.as_json(), "k_max": cfg.k_max},
     )
 
 
@@ -204,33 +229,32 @@ def laplacian_power_norm(C: np.ndarray, m: int) -> float | np.ndarray:
     return dm_norm_sq(D, rem)
 
 
-def h0_sample_coeffs(m: int, count: int, seed: int, degree: int = 2) -> np.ndarray:
-    """Seeded random polynomials times ((1-x^2)(1-y^2))^(m+1), stacked (count, d, d).
+def h0_sample_coeffs(m: int, count: int, seed: int) -> np.ndarray:
+    """Seeded random biquadratics times ((1-x^2)(1-y^2))^(m+1), stacked (count, d, d).
 
     The boundary factor vanishes to order m+1 on all four edges, so every
     sample lies in H^(m+1)_0 of the reference square.
     """
     rng = np.random.default_rng(seed)
-    p = rng.standard_normal((count, degree + 1, degree + 1))
+    p = rng.standard_normal((count, 3, 3))
     w = np.zeros(2 * m + 3)
     w[::2] = [comb(m + 1, q) * (-1) ** q for q in range(m + 2)]  # (1 - t^2)^(m+1)
     # convolution matrix: (W @ c) holds the coefficients of w(t) times c(t)
-    W = np.stack([np.convolve(w, e) for e in np.eye(degree + 1)], axis=1)
+    W = np.stack([np.convolve(w, e) for e in np.eye(3)], axis=1)
     return W @ p @ W.T
 
 
-def verify_interpolation(m: int, sample_count: int, seed: int) -> VerificationReport:
+def claim_interpolation(cfg: RunConfig) -> VerificationReport:
     """Log-convexity of gradient energies, and the Laplacian-power identity.
 
-    For each sample u in H^(m+1)_0 of the reference square:
+    For each of cfg.count samples u in H^(m+1)_0 of the reference square:
       record a: integral |D^m u|^2 <= sqrt(integral |D^(m+1) u|^2 *
                 integral |D^(m-1) u|^2), with 1e-12 relative slack;
       record b: the grouped m-th gradient energy agrees with its pure
                 Laplacian form to 1e-11 relative.
     """
-    if m < 1 or sample_count < 1:
-        raise InvalidArgumentError("need m >= 1 and sample_count >= 1")
-    samples = h0_sample_coeffs(m, sample_count, seed)
+    m = cfg.m
+    samples = h0_sample_coeffs(m, cfg.count, cfg.seed)
     energies = zip(dm_norm_sq(samples, m).tolist(), dm_norm_sq(samples, m + 1).tolist(),
                    dm_norm_sq(samples, m - 1).tolist(),
                    laplacian_power_norm(samples, m).tolist())
@@ -245,38 +269,33 @@ def verify_interpolation(m: int, sample_count: int, seed: int) -> VerificationRe
         claim_id="interpolation",
         passed=all(r.slack >= 0.0 for r in records),
         details=tuple(records),
-        notes=(f"{sample_count} seeded samples at m={m}; per sample, the first "
+        notes=(f"{cfg.count} seeded samples at m={m}; per sample, the first "
                f"record is the geometric-mean bound between energies of orders "
                f"{m - 1}, {m}, {m + 1}; the second checks the Laplacian-power "
                f"rewrite of the order-{m} energy"),
-        config_echo={"m": m, "sample_count": sample_count, "seed": seed},
+        config_echo={"m": m, "sample_count": cfg.count, "seed": cfg.seed},
     )
 
 
-def verify_root_monotonicity(conv_by_m: dict[int, ConvergenceTable],
-                             k_max: int) -> VerificationReport:
-    """(lambda_hat_k^m)^(1/m) grows with m, checked pairwise with 1% slack."""
-    orders = sorted(conv_by_m)
-    if len(orders) < 2:
-        raise InvalidArgumentError("need at least two consecutive orders")
-    dom = conv_by_m[orders[0]].domain
+def claim_root_monotonicity(cfg: RunConfig) -> VerificationReport:
+    """(lambda_hat_k^m)^(1/m) grows with m = 1, 2, 3, checked pairwise with 1% slack.
+
+    Each order runs a convergence table on two grids ending at n (at most 14
+    for m = 3) and compares the values on the finer one.
+    """
+    dom, k_max, orders = Domain.rectangle(cfg.lx, cfg.ly), cfg.k_max, [1, 2, 3]
+    tables = {}
     for m in orders:
-        t = conv_by_m[m]
-        if t.bc != BC_DIRICHLET or t.domain != dom:
-            raise InvalidArgumentError("all tables must be clamped spectra on one domain")
-        if t.values.shape[1] < k_max:
-            raise InvalidArgumentError("table too short for k_max")
+        n = min(cfg.n, 14) if m == 3 else cfg.n
+        n_list = [n - 4, n] if n - 4 >= m + 2 else sorted({max(m + 2, n - 2), n})
+        tables[m] = convergence_study(m, BC_DIRICHLET, dom, n_list, count=k_max, tol=cfg.tol)
     records = []
-    for m_lo, m_hi in zip(orders, orders[1:]):
-        if m_hi != m_lo + 1:
-            raise InvalidArgumentError("orders must be consecutive")
-        v_lo = conv_by_m[m_lo].values[-1]
-        v_hi = conv_by_m[m_hi].values[-1]
+    for m in (1, 2):
+        v_lo, v_hi = tables[m].values[-1], tables[m + 1].values[-1]
         for k in range(1, k_max + 1):
-            lhs = float(v_lo[k - 1]) ** (1.0 / m_lo)
-            rhs = float(v_hi[k - 1]) ** (1.0 / m_hi)
-            records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs,
-                                       slack=(rhs * 1.01 - lhs) / rhs))
+            lhs = float(v_lo[k - 1]) ** (1.0 / m)
+            rhs = float(v_hi[k - 1]) ** (1.0 / (m + 1))
+            records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs * 1.01 - lhs) / rhs))
     return VerificationReport(
         claim_id="root-monotonicity",
         passed=all(r.slack >= 0.0 for r in records),
@@ -285,73 +304,60 @@ def verify_root_monotonicity(conv_by_m: dict[int, ConvergenceTable],
                f"{orders}; both sides are converged upper bounds and the 1% "
                f"slack absorbs their discretization error; per-order "
                f"convergence differences: "
-               + "; ".join(f"m={m}: {conv_by_m[m].error_estimates[:k_max].max():.3e}"
+               + "; ".join(f"m={m}: {tables[m].error_estimates[:k_max].max():.3e}"
                            for m in orders)),
         config_echo={"orders": orders, "k_max": k_max,
-                     "n_lists": {str(m): list(conv_by_m[m].n_list) for m in orders},
+                     "n_lists": {str(m): list(tables[m].n_list) for m in orders},
                      "domain": dom.as_json()},
     )
 
 
-def verify_convex_square(spec_N2: Spectrum, k_max: int) -> VerificationReport:
+def claim_convex_square(cfg: RunConfig) -> VerificationReport:
     """Certificate that the order-2 free eigenvalues sit below the squared
-    order-1 ones on the unit square.
+    order-1 ones on the unit square, whatever lx and ly say.
 
     The right side is exact (closed-form enumeration) and the left side is an
     upper bound of the true value, so nonnegative slack certifies the
     inequality for the true spectra, not just the computed ones.
     """
-    if spec_N2.bc != BC_NEUMANN or spec_N2.m != 2:
-        raise InvalidArgumentError("needs the order-2 free spectrum")
-    dom = spec_N2.domain
-    if dom.dimension != 2 or dom.lx != 1.0 or dom.ly != 1.0:
-        raise InvalidArgumentError("the exact comparison side is enumerated on the unit square")
-    if k_max < 1 or k_max > spec_N2.trusted_count:
-        raise InvalidArgumentError(f"k_max={k_max} outside the trusted range")
-    mu1 = square_laplacian_eigs(BC_NEUMANN, k_max)
+    mu = solve_2d_spectrum(2, BC_NEUMANN, cfg.n, Domain.rectangle(), cfg.k_max,
+                           cfg.tol).values * (1.0 + cfg.perturb)
+    mu1 = square_laplacian_eigs(BC_NEUMANN, cfg.k_max)
     records = []
-    for k in range(1, k_max + 1):
-        lhs = spec_N2.value(k)
+    for k in range(1, cfg.k_max + 1):
+        lhs = float(mu[k - 1])
         rhs = float(mu1[k - 1]) ** 2
-        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs,
-                                   slack=(rhs - lhs) / max(rhs, 1.0)))
+        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs - lhs) / max(rhs, 1.0)))
     return VerificationReport(
         claim_id="convex-square",
         passed=all(r.slack >= 0.0 for r in records),
         details=tuple(records),
         notes="computed order-2 free values (upper bounds) against the squares "
               "of exact order-1 free values of the unit square",
-        config_echo={"n": spec_N2.method.n_per_axis, "k_max": k_max},
+        config_echo={"n": cfg.n, "k_max": cfg.k_max},
     )
 
 
-def conjecture_probe(spec_D: Spectrum, spec_N: Spectrum, d: int, m: int,
-                     k_max: int) -> VerificationReport:
-    """Margins of lambda_hat_k - mu_hat_{n(d,m)+k}: recorded, never asserted."""
-    _require_matched(spec_D, spec_N)
-    if spec_D.domain.dimension != d or spec_D.m != m:
-        raise InvalidArgumentError("spectra do not match the requested (d, m)")
-    z = n_poly_dim(d, m)
-    if k_max < 1 or z + k_max > spec_N.trusted_count or k_max > spec_D.trusted_count:
-        raise InvalidArgumentError(f"k_max={k_max} outside the trusted ranges")
-    records = []
-    for k in range(1, k_max + 1):
-        lhs = spec_N.value(z + k)
-        rhs = spec_D.value(k)
-        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=rhs - lhs))
+def claim_conjecture_probe(cfg: RunConfig) -> VerificationReport:
+    """Margins of lambda_hat_k - mu_hat_{n(2,m)+k}: recorded, never asserted."""
+    m, k_max, dom = cfg.m, cfg.k_max, Domain.rectangle(cfg.lx, cfg.ly)
+    z = n_poly_dim(2, m)
+    lam = solve_2d_spectrum(m, BC_DIRICHLET, cfg.n, dom, k_max, cfg.tol).values
+    mu = solve_2d_spectrum(m, BC_NEUMANN, cfg.n, dom, z + k_max, cfg.tol).values
+    records = tuple(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=rhs - lhs)
+                    for k, (lhs, rhs) in enumerate(zip(mu[z:].tolist(), lam.tolist()), start=1))
     return VerificationReport(
         claim_id="conjecture-probe",
         passed=True,
-        details=tuple(records),
+        details=records,
         notes=(f"conjecture - not asserted: free index shifted by the zero-mode "
                f"count {z} instead of m; margins are informational and this "
                f"claim never fails a suite"),
-        config_echo={"d": d, "m": m, "k_max": k_max, "offset": z,
-                     "n": spec_D.method.n_per_axis},
+        config_echo={"d": 2, "m": m, "k_max": k_max, "offset": z, "n": cfg.n},
     )
 
 
-def oned_counterexample(k: int, npts: int = 100) -> VerificationReport:
+def oned_counterexample(k: int) -> VerificationReport:
     """Why no strict gap exists on an interval, shown concretely at m=1.
 
     v = cos(k pi x) on (0,1) satisfies the free boundary conditions
@@ -359,13 +365,13 @@ def oned_counterexample(k: int, npts: int = 100) -> VerificationReport:
     the order-1 trial family plus the k-th clamped eigenfunction.  The
     combined space of the chain argument therefore contains an exact free
     eigenfunction at the clamped level, and the inequality collapses to
-    equality.
+    equality.  The split is checked at 100 equispaced points.
     """
     if k < 1:
         raise InvalidArgumentError(f"need k >= 1, got {k}")
     w = k * pi
     trace = max(abs(-w * np.sin(0.0)), abs(-w * np.sin(w * 1.0))) / w
-    x = np.linspace(0.0, 1.0, npts)
+    x = np.linspace(0.0, 1.0, 100)
     resid = float(np.max(np.abs(np.cos(w * x) - (np.exp(1j * w * x) - 1j * np.sin(w * x)))))
     records = (
         CheckRecord(k=k, lhs=float(trace), rhs=1e-14, slack=1e-14 - float(trace)),
@@ -378,87 +384,16 @@ def oned_counterexample(k: int, npts: int = 100) -> VerificationReport:
         notes="record 1: free-condition trace residual of cos(k pi x) at both "
               "endpoints, relative to k pi; record 2: pointwise residual of the "
               "wave-plus-eigenfunction split at equispaced points",
-        config_echo={"k": k, "points": npts},
+        config_echo={"k": k, "points": 100},
     )
 
 
-# ---------------------------------------------------------------------------
-# claim registry and suite
+def claim_oned_counterexample(cfg: RunConfig) -> VerificationReport:
+    """oned_counterexample for k = 1, 2, 3, merged."""
+    return merge_reports("oned-counterexample", [oned_counterexample(k) for k in (1, 2, 3)])
 
 
-def _square(cfg: RunConfig) -> Domain:
-    return Domain.rectangle(cfg.lx, cfg.ly)
-
-
-def _default_n_list(n: int, m: int) -> list[int]:
-    """The two grids of a convergence table that ends at n."""
-    if n - 4 >= m + 2:
-        return [n - 4, n]
-    return sorted({max(m + 2, n - 2), n})
-
-
-def _build_oned_coincidence(cfg: RunConfig) -> VerificationReport:
-    return check_root_coincidence(cfg.m, cfg.count, cfg.length, rel_tol=1e-8,
-                                  tol=cfg.tol, perturb=cfg.perturb)
-
-
-def _build_zero_modes(cfg: RunConfig) -> VerificationReport:
-    parts = []
-    for m in (1, 2, 3):
-        spec1 = solve_1d_spectrum(m, BC_NEUMANN, count=m + 2, length=cfg.length, tol=cfg.tol)
-        parts.append(verify_zero_modes(spec1, 1, m))
-    for m in (1, 2, 3):
-        z = n_poly_dim(2, m)
-        spec2 = solve_2d_spectrum(m, BC_NEUMANN, cfg.n, _square(cfg),
-                                  count=z + 3, tol=cfg.tol)
-        parts.append(verify_zero_modes(spec2, 2, m))
-    return merge_reports("zero-modes", parts)
-
-
-def _build_theorem(cfg: RunConfig) -> VerificationReport:
-    count = max(cfg.k_max + cfg.m, n_poly_dim(2, cfg.m) + 1)
-    spec_N = solve_2d_spectrum(cfg.m, BC_NEUMANN, cfg.n, _square(cfg), count=count, tol=cfg.tol)
-    return verify_theorem_main(_scaled_positive(spec_N, 1.0 + cfg.perturb), cfg.k_max)
-
-
-def _build_weak(cfg: RunConfig) -> VerificationReport:
-    dom = _square(cfg)
-    spec_D = solve_2d_spectrum(cfg.m, BC_DIRICHLET, cfg.n, dom, count=cfg.k_max, tol=cfg.tol)
-    spec_N = solve_2d_spectrum(cfg.m, BC_NEUMANN, cfg.n, dom, count=cfg.k_max, tol=cfg.tol)
-    spec_N = _scaled_positive(spec_N, 1.0 + cfg.perturb)
-    return verify_weak_minmax(spec_D, spec_N, cfg.k_max)
-
-
-def _build_interpolation(cfg: RunConfig) -> VerificationReport:
-    return verify_interpolation(cfg.m, cfg.count, cfg.seed)
-
-
-def _build_monotonicity(cfg: RunConfig) -> VerificationReport:
-    dom = _square(cfg)
-    tables = {}
-    for m in (1, 2, 3):
-        n = min(cfg.n, 14) if m == 3 else cfg.n
-        tables[m] = convergence_study(m, BC_DIRICHLET, dom, _default_n_list(n, m),
-                                      count=cfg.k_max, tol=cfg.tol)
-    return verify_root_monotonicity(tables, cfg.k_max)
-
-
-def _build_convex(cfg: RunConfig) -> VerificationReport:
-    spec = solve_2d_spectrum(2, BC_NEUMANN, cfg.n, Domain.rectangle(1.0, 1.0),
-                             count=max(cfg.k_max, 1), tol=cfg.tol)
-    spec = _scaled_positive(spec, 1.0 + cfg.perturb)
-    return verify_convex_square(spec, cfg.k_max)
-
-
-def _build_conjecture(cfg: RunConfig) -> VerificationReport:
-    dom = _square(cfg)
-    z = n_poly_dim(2, cfg.m)
-    spec_D = solve_2d_spectrum(cfg.m, BC_DIRICHLET, cfg.n, dom, count=cfg.k_max, tol=cfg.tol)
-    spec_N = solve_2d_spectrum(cfg.m, BC_NEUMANN, cfg.n, dom, count=z + cfg.k_max, tol=cfg.tol)
-    return conjecture_probe(spec_D, spec_N, 2, cfg.m, cfg.k_max)
-
-
-def _build_trial_identities(cfg: RunConfig) -> VerificationReport:
+def claim_trial_identities(cfg: RunConfig) -> VerificationReport:
     rng = np.random.default_rng(cfg.seed)
     records = []
     for m in (1, 2, 3):
@@ -483,8 +418,8 @@ def _build_trial_identities(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def _build_chain(cfg: RunConfig) -> VerificationReport:
-    dom = _square(cfg)
+def claim_chain_certificate(cfg: RunConfig) -> VerificationReport:
+    dom = Domain.rectangle(cfg.lx, cfg.ly)
     eigsys = solve_2d_eigensystem(cfg.m, BC_DIRICHLET, cfg.n, dom,
                                   count=cfg.k_max, tol=cfg.tol)
     records = []
@@ -509,7 +444,7 @@ def _build_chain(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def _build_vandermonde(cfg: RunConfig) -> VerificationReport:
+def claim_vandermonde(cfg: RunConfig) -> VerificationReport:
     records = []
     for m in range(1, 13):
         val = vandermonde_check(roots_of_unity(m))
@@ -530,24 +465,8 @@ def _build_vandermonde(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def _build_counterexample(cfg: RunConfig) -> VerificationReport:
-    return merge_reports("oned-counterexample",
-                         [oned_counterexample(k) for k in (1, 2, 3)])
-
-
-def merge_reports(claim_id: str, parts: list[VerificationReport]) -> VerificationReport:
-    """Combine several runs of one claim into a single report, in run order."""
-    if not parts:
-        raise InvalidArgumentError("nothing to merge")
-    records = tuple(r for p in parts for r in p.details)
-    notes = " | ".join(dict.fromkeys(p.notes for p in parts if p.notes))
-    return VerificationReport(
-        claim_id=claim_id,
-        passed=all(p.passed for p in parts),
-        details=records,
-        notes=notes,
-        config_echo={"jobs": [p.config_echo for p in parts]},
-    )
+# ---------------------------------------------------------------------------
+# claim registry and suite
 
 
 @dataclass(frozen=True)
@@ -561,42 +480,42 @@ CLAIMS: dict[str, ClaimSpec] = {
     c.claim_id: c for c in (
         ClaimSpec("chain-certificate",
                   "the combined eigenvector/wave space keeps its Rayleigh quotient "
-                  "at or below the clamped target level", _build_chain),
+                  "at or below the clamped target level", claim_chain_certificate),
         ClaimSpec("conjecture-probe",
                   "margins for the zero-mode-shifted comparison (informational)",
-                  _build_conjecture),
+                  claim_conjecture_probe),
         ClaimSpec("convex-square",
                   "order-2 free eigenvalues below squared order-1 free eigenvalues "
-                  "on the unit square", _build_convex),
+                  "on the unit square", claim_convex_square),
         ClaimSpec("interpolation",
                   "geometric-mean bound between consecutive gradient energies, and "
-                  "the Laplacian-power rewrite", _build_interpolation),
+                  "the Laplacian-power rewrite", claim_interpolation),
         ClaimSpec("oned-coincidence",
                   "clamped and free boundary determinants on an interval share "
-                  "their positive roots", _build_oned_coincidence),
+                  "their positive roots", claim_oned_coincidence),
         ClaimSpec("oned-counterexample",
                   "on an interval the shifted comparison is an equality, shown by "
-                  "an explicit free eigenfunction", _build_counterexample),
+                  "an explicit free eigenfunction", claim_oned_counterexample),
         ClaimSpec("root-monotonicity",
                   "2m-th roots of clamped eigenvalues increase with the order m",
-                  _build_monotonicity),
+                  claim_root_monotonicity),
         ClaimSpec("theorem-strict",
                   "free eigenvalues shifted by m sit strictly below clamped ones "
                   "on rectangles, certified against the exact lower bound nu_k^m "
                   "of the clamped ones",
-                  _build_theorem),
+                  claim_theorem_strict),
         ClaimSpec("trial-identities",
                   "closed-form wave identities hold at rounding level",
-                  _build_trial_identities),
+                  claim_trial_identities),
         ClaimSpec("vandermonde",
                   "wave families are linearly independent: root-of-unity "
-                  "Vandermonde determinants are nonzero", _build_vandermonde),
+                  "Vandermonde determinants are nonzero", claim_vandermonde),
         ClaimSpec("weak-minmax",
                   "free eigenvalues never exceed clamped ones at equal rank",
-                  _build_weak),
+                  claim_weak_minmax),
         ClaimSpec("zero-modes",
                   "the free spectrum starts with exactly as many zeros as there "
-                  "are low-degree polynomials", _build_zero_modes),
+                  "are low-degree polynomials", claim_zero_modes),
     )
 }
 

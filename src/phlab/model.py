@@ -149,9 +149,9 @@ class Spectrum:
     """Ascending eigenvalues of one boundary-condition problem.
 
     For the natural (free) problem the leading n_poly_dim(d, m) entries are
-    exact zeros; everything else is strictly positive.  Entries with 1-based
-    index <= trusted_count are accurate enough to compare against other
-    spectra; anything beyond is not exposed.
+    exact zeros; everything else is strictly positive.  The solvers keep only
+    entries accurate enough to compare against other spectra, so every entry
+    is trusted and trusted_count is the number of entries.
     """
 
     m: int
@@ -159,8 +159,11 @@ class Spectrum:
     domain: Domain
     method: MethodInfo
     values: np.ndarray
-    trusted_count: int
     tol: ToleranceConfig = field(default_factory=ToleranceConfig)
+
+    @property
+    def trusted_count(self) -> int:
+        return int(self.values.size)
 
     @property
     def zero_count(self) -> int:
@@ -188,8 +191,7 @@ class Spectrum:
 
 
 def make_spectrum(m: int, bc: str, domain: Domain, method: MethodInfo,
-                  values: np.ndarray, trusted_count: int,
-                  tol: ToleranceConfig = ToleranceConfig()) -> Spectrum:
+                  values: np.ndarray, tol: ToleranceConfig = ToleranceConfig()) -> Spectrum:
     """Clamp the zero block, validate sign/order structure, and freeze a Spectrum.
 
     Clamping is relative: entries are zeroed when |v| <= tol_zero * ref with
@@ -202,10 +204,6 @@ def make_spectrum(m: int, bc: str, domain: Domain, method: MethodInfo,
     vals = np.asarray(values, dtype=float).copy()
     if vals.ndim != 1:
         raise InvalidArgumentError("values must be a 1d array")
-    if not (1 <= trusted_count <= vals.size):
-        raise InvalidArgumentError(
-            f"trusted_count={trusted_count} outside 1..{vals.size}"
-        )
     z = n_poly_dim(domain.dimension, m) if bc == BC_NEUMANN else 0
     ref = float(vals[z]) if z < vals.size else float(np.max(np.abs(vals), initial=1.0))
     if ref <= 0.0:
@@ -225,8 +223,7 @@ def make_spectrum(m: int, bc: str, domain: Domain, method: MethodInfo,
         )
     if np.any(np.diff(vals) < 0.0):
         raise NumericalError("eigenvalues are not ascending after clamping")
-    return Spectrum(m=m, bc=bc, domain=domain, method=method, values=vals,
-                    trusted_count=int(trusted_count), tol=tol)
+    return Spectrum(m=m, bc=bc, domain=domain, method=method, values=vals, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from phlab import cli, galerkin, harness
+from phlab import cli, galerkin, harness, oned
 from phlab.harness import CLAIMS
 from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, Domain, InvalidArgumentError,
                          MethodInfo, Spectrum, validate_config)
@@ -86,10 +86,9 @@ def test_csv_round_trip(capsys):
 
 def test_empty_spectrum_serializes():
     spec = Spectrum(m=1, bc=BC_DIRICHLET, domain=Domain.interval(),
-                    method=MethodInfo("Exact1D"), values=np.array([]),
-                    trusted_count=0)
+                    method=MethodInfo("Exact1D"), values=np.array([]))
     doc = json.loads(cli.dumps17(spec.as_json()))
-    assert doc["eigenvalues"] == []
+    assert doc["eigenvalues"] == [] and doc["trusted_count"] == 0
     assert parse_spectrum_csv(cli.spectrum_csv(spec)) == ([], [])
 
 
@@ -173,6 +172,21 @@ def test_config_file_huge_integer_is_exit_2(tmp_path, capsys, key, message):
                              "--config", str(cfg))
     assert code == 2 and out == ""
     assert message in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", [("oned", "--bc", "dirichlet"), ("verify", "remark12")])
+@pytest.mark.parametrize("huge", [False, True])
+def test_root_count_above_cap_is_exit_2(tmp_path, monkeypatch, capsys, command, huge):
+    # refused before the scan starts: a determinant evaluation fails the test
+    def no_scan(*args):
+        raise AssertionError("the root scan started")
+
+    monkeypatch.setattr(oned, "det_indicator", no_scan)
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"count": %s}' % ("1" + "0" * 400 if huge else oned.MAX_ROOTS + 1))
+    code, out, err = run_cli(capsys, *command, "--m", "1", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"at most {oned.MAX_ROOTS} positive roots" in _one_line_error(err)["error"]
 
 
 def test_config_file_malformed(tmp_path, capsys):
@@ -332,6 +346,41 @@ def test_perturbation_crosses_exact_theorem_bound(capsys):
     assert 8 in failed
     code, _, _ = run_cli(capsys, *args, "--perturb", "0.5")
     assert code == 0
+
+
+@pytest.mark.parametrize("claim, args, crossing, failed", [
+    # m=1: mu_10 = 9 pi^2 reaches lambda_10 = 17 pi^2 at p = 8/9
+    ("weak", ("--m", "1", "--n", "16", "--k-max", "10"), 1.0, [10]),
+    # the first positive biharmonic free value 250.36 reaches (2 pi^2)^2 at
+    # p = 0.556; k = 7..9 follow at p = 0.627 and 0.639
+    ("convex", ("--n", "20", "--k-max", "10"), 1.0, [4, 7, 8, 9]),
+])
+def test_perturbation_crosses_weak_and_convex_bounds(capsys, claim, args, crossing, failed):
+    argv = ("verify", claim, *args, "--stable-output")
+    code, out, _ = run_cli(capsys, *argv, "--perturb", str(crossing))
+    assert code == 1
+    details = json.loads(out)["claims"][0]["details"]
+    assert [r["k"] for r in details if r["slack"] < 0.0] == failed
+    code, _, _ = run_cli(capsys, *argv, "--perturb", str(crossing / 2))
+    assert code == 0
+
+
+EDGE_CLAIMS = ("theorem", "weak", "zero-modes", "monotonicity", "convex", "conjecture", "chain")
+EDGE_ARGS = {"k_max": ("--k-max", "2000"), "n51": ("--n", "51"), "n2": ("--n", "2"),
+             "m3n3": ("--m", "3", "--n", "3")}
+
+
+@pytest.mark.parametrize("edge", sorted(EDGE_ARGS))
+@pytest.mark.parametrize("claim", EDGE_CLAIMS)
+def test_claim_edge_configs_are_refused(capsys, claim, edge):
+    # each is refused by config validation or the solver; zero-modes has no k_max
+    code, out, err = run_cli(capsys, "verify", claim, *EDGE_ARGS[edge], "--stable-output")
+    if claim == "zero-modes" and edge == "k_max":
+        assert code == 0 and json.loads(out)["passed"] is True
+        return
+    assert code == 2 and out == ""
+    msg = _one_line_error(err)["error"]
+    assert any(s in msg for s in ("trusted capacity", "supported cap", "n_list")), msg
 
 
 def test_verify_output_deterministic(capsys):

@@ -3,18 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from phlab import galerkin
-from phlab.galerkin import solve_2d_spectrum
-from phlab.harness import (ALIASES, CLAIMS, SUITE_JOBS, conjecture_probe,
-                           dm_norm_sq, h0_sample_coeffs, laplacian_power_norm,
-                           merge_reports, oned_counterexample, resolve_claim_id,
-                           run_claim, run_suite, square_laplacian_eigs,
-                           suite_passed, verify_convex_square, verify_theorem_main,
-                           verify_weak_minmax, verify_zero_modes)
-from phlab.model import (BC_DIRICHLET, BC_NEUMANN, Domain, InvalidArgumentError,
-                         merge_config, validate_config)
-from phlab.oned import solve_1d_spectrum
-
-SQUARE = Domain.rectangle(1.0, 1.0)
+from phlab.harness import (ALIASES, CLAIMS, SUITE_JOBS, dm_norm_sq, h0_sample_coeffs,
+                           laplacian_power_norm, merge_reports, oned_counterexample,
+                           resolve_claim_id, run_claim, run_suite, square_laplacian_eigs,
+                           suite_passed)
+from phlab.model import (BC_DIRICHLET, BC_NEUMANN, InvalidArgumentError, merge_config,
+                         validate_config)
 
 
 def _cfg(**kv):
@@ -71,59 +65,38 @@ def test_interpolation_claim_records():
     assert rep.margin >= 0.0
 
 
-def test_theorem_claim_rejects_interval():
-    n = solve_1d_spectrum(1, BC_NEUMANN, 5)
-    with pytest.raises(InvalidArgumentError, match="interval"):
-        verify_theorem_main(n, k_max=3)
-
-
 def test_theorem_claim_square_m1():
-    spec_n = solve_2d_spectrum(1, BC_NEUMANN, 12, SQUARE, count=5)
-    rep = verify_theorem_main(spec_n, k_max=4)
+    rep = run_claim("theorem", _cfg(m=1, n=12, k_max=4))
     assert rep.passed
     # the m=1 square gap mu_{k+1} -> lam_k is at least pi^2
     assert rep.margin > 0.9 * np.pi ** 2
 
 
 def test_theorem_claim_rhs_is_exact_power_on_rectangle():
-    dom = Domain.rectangle(1.0, 0.5)
     for m, n, k_max in ((1, 16, 9), (2, 20, 8)):
-        spec_n = solve_2d_spectrum(m, BC_NEUMANN, n, dom, count=k_max + m)
-        rep = verify_theorem_main(spec_n, k_max=k_max)
+        cfg = _cfg(m=m, n=n, k_max=k_max, ly=0.5)
+        rep = run_claim("theorem", cfg)
         nu = square_laplacian_eigs(BC_DIRICHLET, k_max, 1.0, 0.5)
         assert [r.rhs for r in rep.details] == [float(v) ** m for v in nu]
-        assert rep.passed and rep.config_echo["tol_zero"] == spec_n.tol.tol_zero
-    with pytest.raises(InvalidArgumentError):
-        verify_theorem_main(solve_2d_spectrum(1, BC_DIRICHLET, 12, SQUARE, count=5), k_max=4)
+        assert rep.passed and rep.config_echo["tol_zero"] == cfg.tol.tol_zero
 
 
 def test_weak_minmax_matched_size():
-    spec_d = solve_2d_spectrum(2, BC_DIRICHLET, 10, SQUARE, count=6)
-    spec_n = solve_2d_spectrum(2, BC_NEUMANN, 10, SQUARE, count=6)
-    rep = verify_weak_minmax(spec_d, spec_n, k_max=6)
+    rep = run_claim("weak", _cfg(m=2, n=10, k_max=6))
+    assert rep.passed and len(rep.details) == 6
+
+
+def test_zero_mode_claim():
+    rep = run_claim("zero-modes", _cfg(n=10))
     assert rep.passed
-    with pytest.raises(InvalidArgumentError):
-        verify_weak_minmax(spec_n, spec_d, k_max=6)
-
-
-def test_zero_mode_claim_and_mismatch():
-    spec = solve_2d_spectrum(2, BC_NEUMANN, 10, SQUARE, count=5)
-    rep = verify_zero_modes(spec, 2, 2)
-    assert rep.passed
-    with pytest.raises(InvalidArgumentError):
-        verify_zero_modes(spec, 1, 2)
-
-
-def test_convex_square_needs_unit_square():
-    spec = solve_2d_spectrum(2, BC_NEUMANN, 10, Domain.rectangle(2.0, 1.0), count=4)
-    with pytest.raises(InvalidArgumentError):
-        verify_convex_square(spec, k_max=4)
+    # one (d, m) part per dimension 1, 2 and order 1..3, two records each
+    assert [(j["d"], j["m"]) for j in rep.config_echo["jobs"]] == [
+        (d, m) for d in (1, 2) for m in (1, 2, 3)]
+    assert [r.lhs for r in rep.details[::2]] == [1.0, 2.0, 3.0, 1.0, 3.0, 6.0]
 
 
 def test_conjecture_probe_never_fails():
-    spec_d = solve_2d_spectrum(2, BC_DIRICHLET, 10, SQUARE, count=2)
-    spec_n = solve_2d_spectrum(2, BC_NEUMANN, 10, SQUARE, count=5)
-    rep = conjecture_probe(spec_d, spec_n, 2, 2, k_max=2)
+    rep = run_claim("conjecture", _cfg(m=2, n=10, k_max=2))
     assert rep.passed
     assert "not asserted" in rep.notes
 

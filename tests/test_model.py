@@ -46,11 +46,10 @@ def test_tolerance_validation():
         ToleranceConfig(margin_factor=0.0)
 
 
-def _mk(bc, values, m=2, trusted=None):
+def _mk(bc, values, m=2):
     dom = Domain.rectangle()
     vals = np.asarray(values, dtype=float)
-    return make_spectrum(m, bc, dom, MethodInfo("Galerkin2D", 8), vals,
-                         trusted_count=trusted or len(values))
+    return make_spectrum(m, bc, dom, MethodInfo("Galerkin2D", 8), vals)
 
 
 def test_make_spectrum_clamps_zero_noise():
@@ -77,10 +76,11 @@ def test_make_spectrum_rejects_nonpositive_dirichlet():
 
 
 def test_spectrum_trusted_access():
-    s = _mk(BC_DIRICHLET, [1.0, 2.0, 3.0], m=1, trusted=2)
-    assert s.value(2) == 2.0
+    s = _mk(BC_DIRICHLET, [1.0, 2.0, 3.0], m=1)
+    assert s.trusted_count == 3
+    assert s.value(3) == 3.0
     with pytest.raises(InvalidArgumentError):
-        s.value(3)
+        s.value(4)
     with pytest.raises(InvalidArgumentError):
         s.value(0)
 

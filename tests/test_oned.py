@@ -3,11 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from phlab import oned
+from phlab.harness import run_claim
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, InvalidArgumentError,
-                         ToleranceConfig)
-from phlab.oned import (boundary_matrix, characteristic_roots, check_root_coincidence,
-                        det_indicator, positive_roots, solution_derivatives,
-                        solve_1d_spectrum)
+                         ToleranceConfig, merge_config, validate_config)
+from phlab.oned import (boundary_matrix, characteristic_roots, det_indicator,
+                        positive_roots, solution_derivatives, solve_1d_spectrum)
 
 # first positive roots of cos(b) cosh(b) = 1, frozen from a plain bisection
 BEAM_BETAS = np.array([
@@ -171,15 +171,19 @@ def test_spectrum_count_shorter_than_zero_block():
     assert s.values.shape == (1,) and s.values[0] == 0.0
 
 
+def _cfg(**kv):
+    return validate_config(merge_config(kv))
+
+
 def test_root_coincidence_claim():
-    rep = check_root_coincidence(2, 6)
+    rep = run_claim("remark12", _cfg(m=2, count=6))
     assert rep.passed and rep.claim_id == "oned-coincidence"
     assert len(rep.details) == 6
     assert rep.margin > 0.0
 
 
 def test_root_coincidence_failure_injection():
-    rep = check_root_coincidence(1, 4, perturb=1e-6)
+    rep = run_claim("remark12", _cfg(m=1, count=4, perturb=1e-6))
     assert not rep.passed
     assert rep.config_echo["perturb"] == 1e-6
 
