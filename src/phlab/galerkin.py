@@ -231,7 +231,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
     if count > cap:
         raise CapabilityError(
-            f"count={count} exceeds the trusted capacity {cap} of n={n}; increase n"
+            f"count exceeds the trusted capacity {cap} of n={n}; increase n"
         )
     blocks = _solved_blocks(check_order(m), check_bc(bc), n, domain)
     w_all = np.concatenate([b.w for b in blocks])

@@ -189,6 +189,29 @@ def test_root_count_above_cap_is_exit_2(tmp_path, monkeypatch, capsys, command, 
     assert f"at most {oned.MAX_ROOTS} positive roots" in _one_line_error(err)["error"]
 
 
+@pytest.mark.parametrize("huge", [False, True])
+def test_interpolation_count_above_cap_is_exit_2(tmp_path, monkeypatch, capsys, huge):
+    # refused before sampling: drawing a sample fails the test
+    def no_samples(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(harness, "h0_sample_coeffs", no_samples)
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"count": %s}' % ("1" + "0" * 400 if huge else harness.MAX_SAMPLES + 1))
+    code, out, err = run_cli(capsys, "verify", "interpolation", "--m", "3", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert f"at most {harness.MAX_SAMPLES} interpolation samples" in _one_line_error(err)["error"]
+
+
+def test_capacity_refusal_names_the_cap_not_the_count(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"count": 1%s}' % ("0" * 400))
+    code, out, err = run_cli(capsys, "spectrum2d", "--bc", "neumann", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "trusted capacity" in _one_line_error(err)["error"]
+    assert len(err.encode()) < 200
+
+
 def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")
@@ -259,7 +282,7 @@ def test_memory_error_is_exit_3(monkeypatch, capsys):
 
     monkeypatch.setattr(harness, "h0_sample_coeffs", no_memory)
     code, out, err = run_cli(capsys, "verify", "interpolation", "--m", "3",
-                             "--count", "100000000")
+                             "--count", str(harness.MAX_SAMPLES))
     assert code == 3 and out == ""
     msg = _one_line_error(err)
     assert msg["exit_code"] == 3 and "24.6 GiB" in msg["error"]

@@ -7,8 +7,8 @@ from phlab.harness import (ALIASES, CLAIMS, SUITE_JOBS, dm_norm_sq, h0_sample_co
                            laplacian_power_norm, merge_reports, oned_counterexample,
                            resolve_claim_id, run_claim, run_suite, square_laplacian_eigs,
                            suite_passed)
-from phlab.model import (BC_DIRICHLET, BC_NEUMANN, InvalidArgumentError, merge_config,
-                         validate_config)
+from phlab.model import (BC_DIRICHLET, BC_NEUMANN, Domain, InvalidArgumentError,
+                         merge_config, n_poly_dim, validate_config)
 
 
 def _cfg(**kv):
@@ -72,12 +72,18 @@ def test_theorem_claim_square_m1():
     assert rep.margin > 0.9 * np.pi ** 2
 
 
-def test_theorem_claim_rhs_is_exact_power_on_rectangle():
+@pytest.mark.parametrize("claim", ["theorem", "weak", "conjecture"])
+def test_theorem_claim_rhs_is_exact_power_on_rectangle(claim):
+    # each claim compares the free value k + shift with the exact nu_k^m
+    dom = Domain.rectangle(1.0, 0.5)
     for m, n, k_max in ((1, 16, 9), (2, 20, 8)):
+        shift = {"theorem": m, "weak": 0, "conjecture": n_poly_dim(2, m)}[claim]
         cfg = _cfg(m=m, n=n, k_max=k_max, ly=0.5)
-        rep = run_claim("theorem", cfg)
+        rep = run_claim(claim, cfg)
         nu = square_laplacian_eigs(BC_DIRICHLET, k_max, 1.0, 0.5)
+        mu = galerkin.solve_2d_spectrum(m, BC_NEUMANN, n, dom, k_max + shift).values
         assert [r.rhs for r in rep.details] == [float(v) ** m for v in nu]
+        assert [r.lhs for r in rep.details] == mu[shift:].tolist()
         assert rep.passed and rep.config_echo["tol_zero"] == cfg.tol.tol_zero
 
 
@@ -99,6 +105,17 @@ def test_conjecture_probe_never_fails():
     rep = run_claim("conjecture", _cfg(m=2, n=10, k_max=2))
     assert rep.passed
     assert "not asserted" in rep.notes
+
+
+def test_conjecture_probe_keeps_passing_below_nu():
+    # at m=3 the shift z = 6 overshoots at k=1: mu_hat_7 ~ 20,760 against
+    # nu_1^3 = (2 pi^2)^3 ~ 7,691, so that record is not certified
+    rep = run_claim("conjecture", _cfg(m=3, n=14))
+    assert rep.passed
+    first = rep.details[0]
+    assert first.slack < 0.0 and 20_700.0 < first.lhs < 20_800.0
+    npt.assert_allclose(first.rhs, (2 * np.pi ** 2) ** 3, rtol=1e-14)
+    assert all(r.slack > 0.0 for r in rep.details[1:])
 
 
 def test_counterexample_identities():
@@ -144,7 +161,7 @@ def test_suite_deterministic_across_worker_counts():
 
 
 def test_suite_assembles_each_distinct_pencil_once(monkeypatch):
-    # the suite's 23 rectangle solves cover 14 distinct pencils
+    # the suite's 19 rectangle solves cover 14 distinct pencils
     assembled = []
     assemble = galerkin.assemble_pencil
 
@@ -156,5 +173,5 @@ def test_suite_assembles_each_distinct_pencil_once(monkeypatch):
     galerkin._solved_blocks.cache_clear()
     run_suite(_cfg())
     info = galerkin._solved_blocks.cache_info()
-    assert info.hits + info.misses == 23
+    assert info.hits + info.misses == 19
     assert len(assembled) == len(set(assembled)) == 14
