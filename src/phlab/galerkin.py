@@ -14,7 +14,8 @@ Gram matrices on the reference element, scaled by the affine map of each
 axis.  Quadrature uses n + 2m + 2 Gauss nodes per axis, which integrates
 every integrand here exactly.  The 1d tables, shape derivatives times root
 weights and their Grams, come from one cached builder, shape_table, which
-the chain certificate of trialspace reads on its own rules as well.
+the chain certificate of trialspace and the interpolation energies of
+harness read on their own rules as well.
 
 Shape function i has parity (-1)^i, so G_a[i, j] vanishes unless i + j is
 even, and the pencil splits exactly into four blocks by (x parity, y parity).
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, floor
+from math import comb, floor, log, log1p, perm, pi
 
 import numpy as np
 
@@ -49,9 +50,12 @@ def shape_derivatives(bc: str, m: int, n: int, t: np.ndarray, max_deriv: int) ->
 
     Free: P_i.  Clamped: (1 - t^2)^m P_i, differentiated by the product rule
     with the polynomial weight expanded in exact small-integer coefficients.
+    The family order m may be any integer >= 1, past the operator orders: the
+    interpolation claim samples H^(m+1)_0 with the clamped family of order m+1.
     """
     check_bc(bc)
-    m = check_order(m)
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise InvalidArgumentError(f"shape family order must be an integer >= 1, got {m!r}")
     t = np.asarray(t, dtype=float)
     P = legendre_derivatives(n, t, max_deriv)
     if bc == BC_NEUMANN:
@@ -60,12 +64,8 @@ def shape_derivatives(bc: str, m: int, n: int, t: np.ndarray, max_deriv: int) ->
     W = np.zeros((max_deriv + 1, t.size))
     for q in range(m + 1):
         c = comb(m, q) * (-1) ** q
-        for r in range(max_deriv + 1):
-            if 2 * q - r >= 0:
-                fall = 1.0
-                for s in range(r):
-                    fall *= (2 * q - s)
-                W[r] += c * fall * t ** (2 * q - r)
+        for r in range(min(max_deriv, 2 * q) + 1):
+            W[r] += c * perm(2 * q, r) * t ** (2 * q - r)
     out = np.zeros_like(P)
     for r in range(max_deriv + 1):
         for s in range(r + 1):
@@ -136,12 +136,21 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBloc
     """The tensor-product pencil as four reduced parity blocks, in PARITY_BLOCKS order.
 
     A side so short that some block holds an entry, or could hold an
-    eigenvalue, beyond double precision is refused with CapabilityError.
+    eigenvalue, beyond double precision is refused with CapabilityError, and so
+    is a rectangle whose spectrum scale, nu_1^m = (pi^2 (1/lx^2 + 1/ly^2))^m if
+    clamped and (pi / max(lx, ly))^(2m) if free, is below the normal doubles.
     """
     m = check_order(m)
     bc = check_bc(bc)
     if domain.shape != "rectangle":
         raise InvalidArgumentError("assembly needs a rectangle domain")
+    lo, hi = sorted((domain.lx, domain.ly))
+    log_scale = (2 * m * (log(pi) - log(hi)) if bc == BC_NEUMANN
+                 else m * (2.0 * (log(pi) - log(lo)) + log1p((lo / hi) ** 2)))
+    if log_scale < log(np.finfo(float).tiny):
+        raise CapabilityError(
+            f"a {domain.lx:g} x {domain.ly:g} rectangle is too large for m={m}: "
+            f"its eigenvalues fall below the normal range of double precision")
     if n < m + 1:
         raise InvalidArgumentError(f"need n >= m + 1 = {m + 1} shape functions per axis, got {n}")
     check_pencil_dim(n * n)

@@ -9,9 +9,9 @@ Each claim is one function claim_<id>(cfg: RunConfig) that computes the
 spectra it needs and compares them; theorem-strict, weak-minmax and
 conjecture-probe share one comparison with the exact nu_k^m.  cfg.perturb
 scales the computed free eigenvalues of those three, oned-coincidence and
-convex-square by (1 + perturb), a failure-injection hook for exit-code
-testing.  The registry at the bottom maps claim ids (and a few short aliases
-accepted by the command line) to these functions.  The canonical suite is a
+convex-square by (1 + perturb) in _perturbed, a failure-injection hook for
+exit-code testing.  The registry at the bottom maps claim ids (and a few short
+aliases accepted by the command line) to these functions.  The canonical suite is a
 fixed list of (claim_id, config-override) jobs; jobs of the same claim merge
 into a single report.
 """
@@ -24,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .galerkin import convergence_study, solve_2d_eigensystem, solve_2d_spectrum
-from .linalg import gauss_legendre
+from .galerkin import convergence_study, shape_table, solve_2d_eigensystem, solve_2d_spectrum
 from .model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, CheckRecord, Domain,
                     InvalidArgumentError, RunConfig, Spectrum, VerificationReport, n_poly_dim)
 from .oned import positive_roots, solve_1d_spectrum
@@ -49,6 +48,15 @@ def square_laplacian_eigs(bc: str, count: int, lx: float = 1.0, ly: float = 1.0)
     q = np.arange(lo, lo + 2 + int(ly * sqrt(top) / pi))
     vals = pi ** 2 * (p[:, None] ** 2 / lx ** 2 + q[None, :] ** 2 / ly ** 2)
     return np.sort(vals, axis=None)[:count]
+
+
+def _perturbed(values: np.ndarray, perturb: float) -> np.ndarray:
+    """Computed free eigenvalues scaled by (1 + perturb); an overflow is refused."""
+    with np.errstate(over="ignore"):
+        out = values * (1.0 + perturb)
+    if not np.all(np.isfinite(out)):
+        raise CapabilityError(f"perturb={perturb:g} overflows a computed eigenvalue")
+    return out
 
 
 def merge_reports(claim_id: str, parts: list[VerificationReport]) -> VerificationReport:
@@ -80,7 +88,7 @@ def claim_oned_coincidence(cfg: RunConfig) -> VerificationReport:
     """
     m, count, length, rel_tol = cfg.m, cfg.count, cfg.length, 1e-8
     lam_d = positive_roots(m, BC_DIRICHLET, count, length, cfg.tol)
-    lam_n = positive_roots(m, BC_NEUMANN, count, length, cfg.tol) * (1.0 + cfg.perturb)
+    lam_n = _perturbed(positive_roots(m, BC_NEUMANN, count, length, cfg.tol), cfg.perturb)
     records = tuple(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=rel_tol - abs(lhs - rhs) / rhs)
                     for k, (lhs, rhs) in enumerate(zip(lam_n.tolist(), lam_d.tolist()), start=1))
     return VerificationReport(
@@ -142,8 +150,8 @@ def _free_below_dirichlet(cfg: RunConfig, shift: int) -> tuple[tuple[CheckRecord
     """
     m, k_max, dom = cfg.m, cfg.k_max, Domain.rectangle(cfg.lx, cfg.ly)
     z = n_poly_dim(2, m)
-    mu = solve_2d_spectrum(m, BC_NEUMANN, cfg.n, dom, max(k_max + shift, z + 1),
-                           cfg.tol).values * (1.0 + cfg.perturb)
+    mu = _perturbed(solve_2d_spectrum(m, BC_NEUMANN, cfg.n, dom, max(k_max + shift, z + 1),
+                                     cfg.tol).values, cfg.perturb)
     nu = square_laplacian_eigs(BC_DIRICHLET, k_max, dom.lx, dom.ly)
     tol, mf = cfg.tol.tol_zero, cfg.tol.margin_factor
     rounding = mf * tol * float(mu[z])
@@ -174,65 +182,46 @@ def claim_weak_minmax(cfg: RunConfig) -> VerificationReport:
                               records, notes, echo)
 
 
-# --- polynomial sample machinery for the interpolation claim ----------------
-# coefficient convention: C[..., i, j] multiplies x^i y^j on the reference
-# square, one d x d matrix or a stack.  d/dx is the d x d matrix D with
-# (D c)[i] = (i + 1) c[i + 1], applied from the left (d/dy from the right), so
-# sizes stay d.  Values on the tensor Gauss rule of d + 2 nodes per axis, exact
-# for squares of such polynomials, are A_a @ C @ A_b.T with A_a = V D^a for the
-# rule's monomial Vandermonde V: a stack of samples takes a few array products.
+# --- gradient energies of the interpolation claim ----------------------------
 
-def dm_norm_sq(C: np.ndarray, j: int) -> float | np.ndarray:
-    """Integral over (-1,1)^2 of |D^j u|^2 for the polynomial with coefficients C.
+def gradient_energy(A: np.ndarray, F: np.ndarray, j: int) -> np.ndarray:
+    """Integral over (-1,1)^2 of |D^j u|^2 for u = sum_ik A[..., i, k] phi_i(x) phi_k(y).
 
-    Grouped by the count of x-derivatives: sum_a C(j, a) (d_x^a d_y^(j-a) u)^2
-    covers all j-th order ordered index tuples.  j = 0 gives the plain L2 mass.
-    C may be one d x d matrix (a float comes back) or a (..., d, d) stack.
+    F is the shape_table factor of the phi on a rule exact for their squares,
+    so F[a].T @ A @ F[b] holds d_x^a d_y^b u times root weights.  Grouped by
+    the count of x-derivatives, sum_a C(j, a) (d_x^a d_y^(j-a) u)^2 covers all
+    ordered index tuples.  A is one coefficient matrix or a stack of them.
     """
-    C = np.asarray(C, dtype=float)
-    d = C.shape[-1]
-    if C.ndim < 2 or C.shape[-2] != d:
-        raise InvalidArgumentError("coefficients must be square d x d matrices")
-    t, w = gauss_legendre(d + 2)
-    D = np.diag(np.arange(1.0, d), k=1)
-    A = [np.vander(t, d, increasing=True) @ np.linalg.matrix_power(D, a) for a in range(j + 1)]
-    vals = [A[a] @ C @ A[j - a].T for a in range(j + 1)]
-    total = sum(comb(j, a) * np.einsum("...pq,p,q->...", v * v, w, w) for a, v in enumerate(vals))
-    return float(total) if C.ndim == 2 else total
+    return sum(comb(j, a) * np.square(F[a].T @ A @ F[j - a]).sum(axis=(-2, -1))
+               for a in range(j + 1))
 
 
-def laplacian_power_norm(C: np.ndarray, m: int) -> float | np.ndarray:
-    """The pure-Laplacian form of the m-th gradient energy.
+def laplacian_power_energy(A: np.ndarray, F: np.ndarray, m: int) -> np.ndarray:
+    """The pure-Laplacian form of the m-th gradient energy, as gradient_energy.
 
-    Equals dm_norm_sq(C, m) for polynomials vanishing to order m at the
-    boundary: integral of (Lap^(m/2) u)^2 for even m, of |grad Lap^((m-1)/2) u|^2
-    for odd m.  Takes a d x d matrix or a (..., d, d) stack, as dm_norm_sq.
+    Equals gradient_energy(A, F, m) for u vanishing to order m at the
+    boundary: the integral of (Lap^h u)^2 for m = 2h, of |grad Lap^h u|^2
+    for m = 2h + 1, with Lap^h = sum_b C(h, b) d_x^(2b) d_y^(2(h-b)) and the
+    gradient's x part (e = 1) and y part (e = 0) squared separately.
     """
-    half, rem = divmod(m, 2)
-    D = np.asarray(C, dtype=float)
-    r = np.arange(1.0, D.shape[-1] - 1)
-    D2 = np.diag(r * (r + 1), k=2)  # d^2/dt^2: (D2 c)[i] = (i + 1)(i + 2) c[i + 2]
-    for _ in range(half):
-        D = D2 @ D + D @ D2.T
-    return dm_norm_sq(D, rem)
+    h, rem = divmod(m, 2)
+    return sum(np.square(sum(comb(h, b) * (F[2 * b + e].T @ A @ F[2 * (h - b) + rem - e])
+                             for b in range(h + 1))).sum(axis=(-2, -1))
+               for e in range(rem + 1))
 
 
 def h0_sample_coeffs(m: int, count: int, seed: int) -> np.ndarray:
-    """Seeded random biquadratics times ((1-x^2)(1-y^2))^(m+1), stacked (count, d, d).
+    """Seeded standard-normal coefficients, stacked (count, 3, 3), over the
+    clamped shapes (1-t^2)^(m+1) P_i, i < 3, of each axis.
 
-    The boundary factor vanishes to order m+1 on all four edges, so every
+    The factor (1-t^2)^(m+1) vanishes to order m+1 at both ends, so every
     sample lies in H^(m+1)_0 of the reference square.
     """
-    rng = np.random.default_rng(seed)
-    p = rng.standard_normal((count, 3, 3))
-    w = np.zeros(2 * m + 3)
-    w[::2] = [comb(m + 1, q) * (-1) ** q for q in range(m + 2)]  # (1 - t^2)^(m+1)
-    # convolution matrix: (W @ c) holds the coefficients of w(t) times c(t)
-    W = np.stack([np.convolve(w, e) for e in np.eye(3)], axis=1)
-    return W @ p @ W.T
+    return np.random.default_rng(seed).standard_normal((count, 3, 3))
 
 
-# at m=3, 10^5 samples take about 8 s (2 CPUs) and 0.9 GB; memory grows with the count
+# at m=3, 10^5 samples take about 5-7 s and 270 MB through `verify` (2 CPUs), 1.5 s
+# of it in the claim, the rest mostly writing records; memory grows with the count
 MAX_SAMPLES = 100_000
 
 
@@ -248,10 +237,12 @@ def claim_interpolation(cfg: RunConfig) -> VerificationReport:
     m = cfg.m
     if cfg.count > MAX_SAMPLES:
         raise CapabilityError(f"at most {MAX_SAMPLES} interpolation samples are supported per call")
-    samples = h0_sample_coeffs(m, cfg.count, cfg.seed)
-    energies = zip(dm_norm_sq(samples, m).tolist(), dm_norm_sq(samples, m + 1).tolist(),
-                   dm_norm_sq(samples, m - 1).tolist(),
-                   laplacian_power_norm(samples, m).tolist())
+    A = h0_sample_coeffs(m, cfg.count, cfg.seed)
+    # the samples' degree is 2m + 4 per axis, so 2m + 5 nodes integrate their squares
+    F, _ = shape_table(BC_DIRICHLET, m + 1, 3, 2 * m + 5)
+    energies = zip(gradient_energy(A, F, m).tolist(), gradient_energy(A, F, m + 1).tolist(),
+                   gradient_energy(A, F, m - 1).tolist(),
+                   laplacian_power_energy(A, F, m).tolist())
     records = []
     for s, (mid, hi, lo, alt) in enumerate(energies, start=1):
         rhs = sqrt(hi * lo)
@@ -314,18 +305,16 @@ def claim_convex_square(cfg: RunConfig) -> VerificationReport:
     upper bound of the true value, so nonnegative slack certifies the
     inequality for the true spectra, not just the computed ones.
     """
-    mu = solve_2d_spectrum(2, BC_NEUMANN, cfg.n, Domain.rectangle(), cfg.k_max,
-                           cfg.tol).values * (1.0 + cfg.perturb)
+    mu = _perturbed(solve_2d_spectrum(2, BC_NEUMANN, cfg.n, Domain.rectangle(), cfg.k_max,
+                                     cfg.tol).values, cfg.perturb)
     mu1 = square_laplacian_eigs(BC_NEUMANN, cfg.k_max)
-    records = []
-    for k in range(1, cfg.k_max + 1):
-        lhs = float(mu[k - 1])
-        rhs = float(mu1[k - 1]) ** 2
-        records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs - lhs) / max(rhs, 1.0)))
+    pairs = zip(mu.tolist(), (v ** 2 for v in mu1.tolist()))
+    records = tuple(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs - lhs) / max(rhs, 1.0))
+                    for k, (lhs, rhs) in enumerate(pairs, start=1))
     return VerificationReport(
         claim_id="convex-square",
         passed=all(r.slack >= 0.0 for r in records),
-        details=tuple(records),
+        details=records,
         notes="computed order-2 free values (upper bounds) against the squares "
               "of exact order-1 free values of the unit square",
         config_echo={"n": cfg.n, "k_max": cfg.k_max},

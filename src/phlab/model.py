@@ -69,7 +69,8 @@ class ToleranceConfig:
     tol_zero      relative threshold for clamping near-zero eigenvalues
     tol_root      relative width target for the 1d root brackets
     tol_identity  bound for pointwise identity residuals in the trial space
-    margin_factor strictness safety factor against rounding in theorem-strict
+    margin_factor strictness safety factor against rounding in theorem-strict,
+                  weak-minmax and conjecture-probe
     """
 
     tol_zero: float = 1e-6

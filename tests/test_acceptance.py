@@ -12,8 +12,8 @@ import numpy as np
 import numpy.testing as npt
 
 from phlab import cli
-from phlab.galerkin import solve_2d_eigensystem, solve_2d_spectrum
-from phlab.harness import (dm_norm_sq, h0_sample_coeffs, laplacian_power_norm,
+from phlab.galerkin import shape_table, solve_2d_eigensystem, solve_2d_spectrum
+from phlab.harness import (gradient_energy, h0_sample_coeffs, laplacian_power_energy,
                            oned_counterexample, square_laplacian_eigs)
 from phlab.model import BC_DIRICHLET, BC_NEUMANN, Domain
 from phlab.oned import positive_roots, solve_1d_spectrum
@@ -137,18 +137,21 @@ def test_07_vandermonde_independence():
 
 
 def test_08_gradient_energy_interpolation_suite():
-    # hand case first: u = (1-x^2)(1-y^2)
-    C = np.outer([1.0, 0.0, -1.0], [1.0, 0.0, -1.0])
-    assert abs(dm_norm_sq(C, 0) - 256.0 / 225.0) <= 1e-12 * (256.0 / 225.0)
-    assert abs(dm_norm_sq(C, 1) - 256.0 / 45.0) <= 1e-12 * (256.0 / 45.0)
-    assert abs(dm_norm_sq(C, 2) - 1408.0 / 45.0) <= 1e-12 * (1408.0 / 45.0)
+    # hand case first: u = (1-x^2)(1-y^2) = outer(c, c) over Legendre P_0..P_2
+    F, _ = shape_table(BC_NEUMANN, 2, 3, 6)
+    c = np.array([2.0, 0.0, -2.0]) / 3.0
+    A = np.outer(c, c)
+    assert abs(gradient_energy(A, F, 0) - 256.0 / 225.0) <= 1e-12 * (256.0 / 225.0)
+    assert abs(gradient_energy(A, F, 1) - 256.0 / 45.0) <= 1e-12 * (256.0 / 45.0)
+    assert abs(gradient_energy(A, F, 2) - 1408.0 / 45.0) <= 1e-12 * (1408.0 / 45.0)
 
     for m in (1, 2):
-        for C in h0_sample_coeffs(m, 50, seed=1729):
-            mid = dm_norm_sq(C, m)
-            bound = sqrt(dm_norm_sq(C, m + 1) * dm_norm_sq(C, m - 1))
+        F, _ = shape_table(BC_DIRICHLET, m + 1, 3, 2 * m + 5)
+        for A in h0_sample_coeffs(m, 50, seed=1729):
+            mid = gradient_energy(A, F, m)
+            bound = sqrt(gradient_energy(A, F, m + 1) * gradient_energy(A, F, m - 1))
             assert mid <= bound * (1.0 + 1e-12)
-            assert abs(laplacian_power_norm(C, m) - mid) <= 1e-11 * mid
+            assert abs(laplacian_power_energy(A, F, m) - mid) <= 1e-11 * mid
 
 
 def test_09_eigenvalue_root_monotonicity_in_order():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,30 @@ def test_tiny_rectangle_side_is_refused(capsys):
                     assert out == "" and _one_line_error(err)["exit_code"] == 2
 
 
+def test_huge_rectangle_side_is_refused(capsys):
+    # below the normal doubles the spectrum loses its digits: such a square is
+    # refused before assembly instead of failing the zero-block check
+    for side in ("1e50", "1e78", "1e100", "1e155", "1e200"):
+        for m in (1, 2, 3):
+            for bc in ("dirichlet", "neumann"):
+                code, out, err = run_cli(capsys, "spectrum2d", "--m", str(m), "--bc", bc,
+                                         "--n", "8", "--count", "3", "--lx", side, "--ly", side)
+                assert code in (0, 2), (side, m, bc)
+                if code == 2:
+                    assert out == "" and "too large" in _one_line_error(err)["error"]
+    # a clamped strip keeps the scale of its short side
+    for m in (1, 2, 3):
+        code, _, _ = run_cli(capsys, "spectrum2d", "--m", str(m), "--bc", "dirichlet",
+                             "--n", "8", "--count", "3", "--lx", "1e100")
+        assert code == 0, m
+
+
+def test_operator_order_4_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "spectrum2d", "--m", "4", "--bc", "dirichlet")
+    assert code == 2 and out == ""
+    assert "supported orders are 1..3" in _one_line_error(err)["error"]
+
+
 def test_extreme_interval_length_is_refused(capsys):
     for length, code_expected in (("1e-200", 2), ("1e200", 2), ("1e-100", 0), ("1e100", 0)):
         code, out, err = run_cli(capsys, "oned", "--m", "1", "--bc", "neumann",
@@ -386,6 +411,18 @@ def test_perturbation_crosses_weak_and_convex_bounds(capsys, claim, args, crossi
     assert [r["k"] for r in details if r["slack"] < 0.0] == failed
     code, _, _ = run_cli(capsys, *argv, "--perturb", str(crossing / 2))
     assert code == 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+@pytest.mark.parametrize("claim", ["theorem", "weak", "conjecture", "convex", "remark12"])
+def test_overflowing_perturbation_is_exit_2(capsys, claim, fmt):
+    # scaled free eigenvalues that overflow are refused, with no warning lines
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", claim, "--perturb", "1e308",
+                                 "--format", fmt, "--stable-output")
+    assert code == 2 and out == "" and caught == []
+    assert "perturb=1e+308" in _one_line_error(err)["error"]
 
 
 EDGE_CLAIMS = ("theorem", "weak", "zero-modes", "monotonicity", "convex", "conjecture", "chain")

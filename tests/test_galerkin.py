@@ -29,8 +29,9 @@ def full_pencil(m, bc, n, domain):
 
 
 def test_clamped_shapes_vanish_to_order_m():
+    # family order 4 serves the interpolation samples of H^4_0 at m=3
     t = np.array([-1.0, 1.0])
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         tab = shape_derivatives(BC_DIRICHLET, m, 5, t, m)
         # all derivatives below order m are zero at both endpoints
         assert np.abs(tab[:m]).max() < 1e-12
@@ -154,6 +155,14 @@ def test_repeated_solve_reuses_block_eigenpairs(monkeypatch):
     for blk in galerkin._solved_blocks(2, BC_NEUMANN, 10, dom):
         for arr in (blk.index, blk.back_x, blk.back_y, blk.w, blk.Y):
             assert not arr.flags.writeable
+
+
+def test_operator_order_4_refused():
+    # the shape tables reach family order 4, the operator does not
+    with pytest.raises(CapabilityError, match="supported orders are 1..3"):
+        assemble_pencil(4, BC_DIRICHLET, 8, SQUARE)
+    with pytest.raises(CapabilityError, match="supported orders are 1..3"):
+        solve_2d_spectrum(4, BC_NEUMANN, 8, SQUARE, count=3)
 
 
 def test_min_basis_size_enforced():

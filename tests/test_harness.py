@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from phlab import galerkin
-from phlab.harness import (ALIASES, CLAIMS, SUITE_JOBS, dm_norm_sq, h0_sample_coeffs,
-                           laplacian_power_norm, merge_reports, oned_counterexample,
+from phlab.harness import (ALIASES, CLAIMS, SUITE_JOBS, gradient_energy, h0_sample_coeffs,
+                           laplacian_power_energy, merge_reports, oned_counterexample,
                            resolve_claim_id, run_claim, run_suite, square_laplacian_eigs,
                            suite_passed)
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, Domain, InvalidArgumentError,
@@ -32,30 +32,39 @@ def test_rectangle_enumeration_matches_brute_force(bc, lx, ly):
 
 
 def test_polynomial_energy_hand_case():
-    # u = (1-x^2)(1-y^2) on the reference square
-    C = np.outer([1.0, 0.0, -1.0], [1.0, 0.0, -1.0])
-    npt.assert_allclose(dm_norm_sq(C, 0), 256.0 / 225.0, rtol=1e-14)
-    npt.assert_allclose(dm_norm_sq(C, 1), 256.0 / 45.0, rtol=1e-14)
-    npt.assert_allclose(dm_norm_sq(C, 2), 1408.0 / 45.0, rtol=1e-14)
+    # u = (1-x^2)(1-y^2) on the reference square; 1 - t^2 = (2/3) P_0 - (2/3) P_2
+    F, _ = galerkin.shape_table(BC_NEUMANN, 2, 3, 6)
+    c = np.array([2.0, 0.0, -2.0]) / 3.0
+    A = np.outer(c, c)
+    npt.assert_allclose(gradient_energy(A, F, 0), 256.0 / 225.0, rtol=4e-16)
+    npt.assert_allclose(gradient_energy(A, F, 1), 256.0 / 45.0, rtol=4e-16)
+    npt.assert_allclose(gradient_energy(A, F, 2), 1408.0 / 45.0, rtol=4e-16)
+
+
+def _sample_table(m):
+    F, _ = galerkin.shape_table(BC_DIRICHLET, m + 1, 3, 2 * m + 5)
+    return F
 
 
 def test_laplacian_power_identity_on_samples():
     for m in (1, 2, 3):
-        for C in h0_sample_coeffs(m, 5, seed=7):
-            a = dm_norm_sq(C, m)
-            b = laplacian_power_norm(C, m)
+        F = _sample_table(m)
+        for A in h0_sample_coeffs(m, 5, seed=7):
+            a = gradient_energy(A, F, m)
+            b = laplacian_power_energy(A, F, m)
             npt.assert_allclose(b, a, rtol=1e-11)
 
 
 def test_energies_accept_coefficient_stacks():
     for m in (1, 2, 3):
+        F = _sample_table(m)
         stack = h0_sample_coeffs(m, 5, seed=11)
-        assert stack.shape == (5, 2 * m + 5, 2 * m + 5)
+        assert stack.shape == (5, 3, 3)
         for j in (m - 1, m, m + 1):
-            npt.assert_allclose(dm_norm_sq(stack, j), [dm_norm_sq(C, j) for C in stack],
-                                rtol=1e-14)
-        npt.assert_allclose(laplacian_power_norm(stack, m),
-                            [laplacian_power_norm(C, m) for C in stack], rtol=1e-14)
+            npt.assert_allclose(gradient_energy(stack, F, j),
+                                [gradient_energy(A, F, j) for A in stack], rtol=1e-14)
+        npt.assert_allclose(laplacian_power_energy(stack, F, m),
+                            [laplacian_power_energy(A, F, m) for A in stack], rtol=1e-14)
 
 
 def test_interpolation_claim_records():
