@@ -6,7 +6,9 @@ on rectangles, and runs certified verification claims relating the two
 spectra.  See the README for the command-line interface.
 """
 
+import importlib.util
 import os
+import sys
 
 # phlab's dense kernels are small: each eigensolve is one parity block of
 # dimension about n^2/4 <= 625.  At these sizes a second OpenBLAS thread makes
@@ -16,35 +18,24 @@ import os
 # is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .galerkin import (assemble_pencil, convergence_study, solve_2d_eigensystem,
-                       solve_2d_spectrum, trusted_capacity)
-from .harness import (ALIASES, CLAIMS, run_claim, run_suite, square_laplacian_eigs,
-                      suite_passed)
-from .linalg import gauss_legendre, solve_gen_eig
-from .model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, CheckRecord, Domain,
-                    GramDegeneracyError, InvalidArgumentError, MethodInfo,
-                    NumericalError, PhlabError, RunConfig, Spectrum,
-                    ToleranceConfig, VerificationReport, merge_config, n_poly_dim,
-                    validate_config)
-from .oned import characteristic_roots, det_indicator, positive_roots, solve_1d_spectrum
-from .trialspace import (TrialSpace, certified_chain_bound, roots_of_unity,
-                         vandermonde_check, verify_mth_gradient_identity,
-                         verify_pde_identity)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALIASES", "BC_DIRICHLET", "BC_NEUMANN", "CLAIMS", "CapabilityError",
-    "CheckRecord", "Domain", "GramDegeneracyError", "InvalidArgumentError",
-    "MethodInfo", "NumericalError", "PhlabError", "RunConfig", "Spectrum",
-    "ToleranceConfig", "TrialSpace", "VerificationReport",
-    "assemble_pencil", "certified_chain_bound",
-    "characteristic_roots",
-    "convergence_study", "det_indicator", "gauss_legendre",
-    "merge_config", "n_poly_dim", "positive_roots", "roots_of_unity",
-    "run_claim", "run_suite", "solve_1d_spectrum",
-    "solve_2d_eigensystem", "solve_2d_spectrum", "solve_gen_eig",
-    "square_laplacian_eigs", "suite_passed", "trusted_capacity",
-    "validate_config", "vandermonde_check", "verify_mth_gradient_identity",
-    "verify_pde_identity", "__version__",
-]
+
+def _lazy_layer(name: str):
+    """Put phlab.<name> in sys.modules now; its code runs on first attribute access.
+
+    A command then runs only the layers it calls: `phlab oned` never runs the
+    rectangle solver or the claims.  Layers import from each other with
+    `from .layer import name`, which runs the named layer at once, so a layer
+    that has run has all of its dependencies loaded too.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+model, linalg, oned, galerkin, trialspace, harness = map(
+    _lazy_layer, ("model", "linalg", "oned", "galerkin", "trialspace", "harness"))

@@ -22,12 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .galerkin import solve_2d_spectrum
-from .harness import CLAIMS, resolve_claim_id, run_claim, run_suite, suite_passed
+from . import galerkin, harness, oned
 from .model import (BC_DIRICHLET, BC_NEUMANN, CONFIG_DEFAULTS, CapabilityError, Domain,
                     InvalidArgumentError, NumericalError, PhlabError, RunConfig,
                     Spectrum, merge_config, validate_config)
-from .oned import solve_1d_spectrum
 
 SPECTRUM_FORMATS = ("json", "csv")
 REPORT_FORMATS = ("json", "markdown")
@@ -97,7 +95,9 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
         try:
             with open(ns.config, "r", encoding="utf-8") as fh:
                 file_layer = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers undecodable bytes and integer literals
+            # past the int-string limit; deep nesting raises RecursionError
             raise InvalidArgumentError(f"config file {ns.config}: {exc}") from exc
         if not isinstance(file_layer, dict):
             raise InvalidArgumentError("config file must hold a JSON object")
@@ -169,7 +169,7 @@ def markdown_report(reports, cfg: RunConfig, runtime_ms: Optional[int]) -> str:
     for r in reports:
         out.append(f"## {r.claim_id}")
         out.append("")
-        claim = CLAIMS.get(r.claim_id)
+        claim = harness.CLAIMS.get(r.claim_id)
         if claim is not None:
             out.append(claim.statement)
             out.append("")
@@ -212,12 +212,12 @@ def _pick_format(ns, allowed: tuple[str, ...], default: str) -> str:
 def _spectrum_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
     if cfg.bc is None:
         raise InvalidArgumentError("this command needs --bc dirichlet or --bc neumann")
+    fmt = _pick_format(ns, SPECTRUM_FORMATS, "json")
     if ns.command == "oned":
-        spec = solve_1d_spectrum(cfg.m, cfg.bc, cfg.count, cfg.length, cfg.tol)
+        spec = oned.solve_1d_spectrum(cfg.m, cfg.bc, cfg.count, cfg.length, cfg.tol)
     else:
         dom = Domain.rectangle(cfg.lx, cfg.ly)
-        spec = solve_2d_spectrum(cfg.m, cfg.bc, cfg.n, dom, cfg.count, cfg.tol)
-    fmt = _pick_format(ns, SPECTRUM_FORMATS, "json")
+        spec = galerkin.solve_2d_spectrum(cfg.m, cfg.bc, cfg.n, dom, cfg.count, cfg.tol)
     if fmt == "csv":
         return spectrum_csv(spec), True
     payload = spec.as_json()
@@ -228,15 +228,15 @@ def _spectrum_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
 
 
 def _report_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
-    if ns.command == "verify":
-        tokens = [resolve_claim_id(t) for t in ns.claims]
-        reports = [run_claim(t, cfg) for t in tokens]
-    else:
-        reports = run_suite(cfg)
-    passed = suite_passed(reports)
-    runtime = None if ns.stable_output else int(round(1000.0 * (time.perf_counter() - t0)))
     default = "markdown" if ns.command == "report" else "json"
     fmt = _pick_format(ns, REPORT_FORMATS, default)
+    if ns.command == "verify":
+        tokens = [harness.resolve_claim_id(t) for t in ns.claims]
+        reports = [harness.run_claim(t, cfg) for t in tokens]
+    else:
+        reports = harness.run_suite(cfg)
+    passed = harness.suite_passed(reports)
+    runtime = None if ns.stable_output else int(round(1000.0 * (time.perf_counter() - t0)))
     if fmt == "markdown":
         return markdown_report(reports, cfg, runtime), passed
     payload = {

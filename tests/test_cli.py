@@ -13,7 +13,9 @@ from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, Domain, InvalidArgumentE
                          MethodInfo, Spectrum, validate_config)
 from phlab.oned import positive_roots
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def parse_spectrum_csv(text):
@@ -220,6 +222,39 @@ def test_config_file_malformed(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [b'{"m": 1, "bc": "\xff"}', b"[" * 100000,
+                                     b'{"n": 1' + b"0" * 5000 + b"}"],
+                         ids=["not-utf8", "nested-past-recursion-limit", "5001-digit-int"])
+def test_config_file_undecodable_is_exit_2(tmp_path, capsys, content):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(content)
+    code, out, err = run_cli(capsys, "oned", "--bc", "dirichlet", "--count", "2",
+                             "--config", str(cfg))
+    assert code == 2 and out == ""
+    msg = _one_line_error(err)
+    assert msg["exit_code"] == 2 and str(cfg) in msg["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("oned", "--m", "1", "--bc", "dirichlet", "--count", "2", "--format", "markdown"),
+    ("spectrum2d", "--m", "3", "--bc", "dirichlet", "--n", "50", "--count", "2",
+     "--format", "markdown"),
+    ("verify", "theorem", "--format", "csv"),
+    ("all", "--format", "csv"),
+], ids=["oned", "spectrum2d", "verify", "all"])
+def test_unsupported_format_is_refused_before_any_work(monkeypatch, capsys, argv):
+    # the 1d scan and the 2d solve sit under every spectrum and every claim
+    # these commands run
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the format was checked")
+
+    monkeypatch.setattr(oned, "det_indicator", no_work)
+    monkeypatch.setattr(galerkin, "solve_2d_eigensystem", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "format" in _one_line_error(err)["error"]
+
+
 def test_out_path_failure_is_io_error(capsys):
     code, _, err = run_cli(capsys, "oned", "--m", "1", "--bc", "dirichlet",
                            "--count", "2", "--out", "/no/such/dir/x.json")
@@ -329,18 +364,54 @@ def test_clamped_m3_large_n_solves(capsys):
         first_values(n, 0.5)
 
 
-def test_commands_do_not_load_scipy():
-    code = ("import sys\n"
+ALL_LAYERS = ["galerkin", "harness", "linalg", "model", "oned", "trialspace"]
+
+
+@pytest.mark.parametrize("argv, layers_run", [
+    (["oned", "--m", "2", "--bc", "neumann", "--count", "5"], ["model", "oned"]),
+    (["spectrum2d", "--m", "2", "--bc", "neumann", "--n", "10"],
+     ["galerkin", "linalg", "model"]),
+    (["verify", "interpolation", "--m", "2", "--count", "5"], ALL_LAYERS),
+    (["verify", "chain", "--m", "2", "--n", "12", "--k-max", "3"], ALL_LAYERS),
+], ids=["oned", "spectrum2d", "interpolation", "chain"])
+def test_commands_do_not_load_scipy(argv, layers_run):
+    # a layer that has not run yet keeps the lazy loader's module subclass
+    code = ("import sys, types\n"
             "from phlab.cli import main\n"
-            "for argv in (['spectrum2d', '--m', '2', '--bc', 'neumann', '--n', '10'],\n"
-            "             ['verify', 'interpolation', '--m', '2', '--count', '5'],\n"
-            "             ['verify', 'chain', '--m', '2', '--n', '12', '--k-max', '3']):\n"
-            "    assert main(argv + ['--stable-output']) == 0, argv\n"
+            f"assert main({argv!r} + ['--stable-output', '--out', {os.devnull!r}]) == 0\n"
             "assert 'scipy' not in sys.modules\n"
-            "assert 'numpy.polynomial' not in sys.modules\n")
+            "assert 'numpy.polynomial' not in sys.modules\n"
+            f"print([n for n in {ALL_LAYERS!r}\n"
+            "       if type(sys.modules['phlab.' + n]) is types.ModuleType])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(layers_run)
+
+
+def test_package_import_registers_layers_without_running_them():
+    # perfbench/tracer.py reads each of its LAYERS from sys.modules right
+    # after `import phlab.cli`
+    code = ("import sys\n"
+            f"sys.path.insert(0, {PERFBENCH!r})\n"
+            "import tracer\n"
+            "import phlab\n"
+            "assert 'numpy' not in sys.modules\n"
+            "import phlab.cli\n"
+            "missing = [n for n in tracer.LAYERS if 'phlab.' + n not in sys.modules]\n"
+            "assert not missing, missing\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point_runs_without_warnings():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "phlab.cli", "oned", "--m", "1",
+                           "--bc", "dirichlet", "--count", "3", "--stable-output"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert len(json.loads(proc.stdout)["eigenvalues"]) == 3
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
