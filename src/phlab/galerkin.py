@@ -40,9 +40,8 @@ import numpy as np
 
 from .linalg import (check_pencil_dim, force_hermitian, gauss_legendre, hermitian_eig,
                      legendre_derivatives, mass_whitener)
-from .model import (BC_NEUMANN, CapabilityError, Domain, InvalidArgumentError,
-                    MethodInfo, NumericalError, Spectrum, ToleranceConfig, check_bc,
-                    check_order, make_spectrum, n_poly_dim)
+from .model import (BC_NEUMANN, CapabilityError, Domain, InvalidArgumentError, MethodInfo,
+                    Spectrum, ToleranceConfig, check_bc, check_order, make_spectrum, n_poly_dim)
 
 
 def shape_derivatives(bc: str, m: int, n: int, t: np.ndarray, max_deriv: int) -> np.ndarray:
@@ -273,45 +272,3 @@ def solve_2d_spectrum(m: int, bc: str, n: int, domain: Domain = Domain.rectangle
                       count: int = 10,
                       tol: ToleranceConfig = ToleranceConfig()) -> Spectrum:
     return solve_2d_eigensystem(m, bc, n, domain, count, tol).spectrum
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    """Discrete eigenvalues across increasing n, with last-step differences.
-
-    error_estimates[k] = |values[-1, k] - values[-2, k]| is a convergence
-    based proxy for the discretization error, reported in claim notes.
-    """
-
-    m: int
-    bc: str
-    domain: Domain
-    n_list: tuple[int, ...]
-    values: np.ndarray  # (len(n_list), count)
-    error_estimates: np.ndarray  # (count,)
-
-
-def convergence_study(m: int, bc: str, domain: Domain, n_list: list[int],
-                      count: int = 10,
-                      tol: ToleranceConfig = ToleranceConfig()) -> ConvergenceTable:
-    """Solve at each n and check per-k monotone decrease within 1e-8 slack.
-
-    Nested conforming spaces force lambda_hat_k to be nonincreasing in n;
-    any rise beyond eigensolver noise marks a broken assembly.
-    """
-    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise InvalidArgumentError("n_list must be strictly increasing with >= 2 entries")
-    rows = []
-    for n in n_list:
-        rows.append(solve_2d_spectrum(m, bc, n, domain, count, tol).values)
-    values = np.vstack(rows)
-    rise = np.diff(values, axis=0)
-    if np.any(rise > 1e-8):
-        i, k = np.unravel_index(int(np.argmax(rise)), rise.shape)
-        raise NumericalError(
-            f"eigenvalue {k + 1} rose by {rise[i, k]:.3e} from n={n_list[i]} "
-            f"to n={n_list[i + 1]}; conforming refinement must not increase it"
-        )
-    return ConvergenceTable(m=m, bc=bc, domain=domain, n_list=tuple(n_list),
-                            values=values,
-                            error_estimates=np.abs(values[-1] - values[-2]))

@@ -83,6 +83,9 @@ class ToleranceConfig:
             v = getattr(self, name)
             if not (isinstance(v, float) and isfinite(v) and v > 0.0):
                 raise InvalidArgumentError(f"{name} must be a positive finite float, got {v!r}")
+        # make_spectrum zeroes |v| <= tol_zero * v_(z+1), which at 1 or above takes v_(z+1) too
+        if self.tol_zero >= 1.0:
+            raise InvalidArgumentError(f"tol_zero must be below 1, got {self.tol_zero!r}")
         if not (isinstance(self.margin_factor, float) and self.margin_factor >= 1.0):
             raise InvalidArgumentError(
                 f"margin_factor must be a float >= 1, got {self.margin_factor!r}"

@@ -496,6 +496,34 @@ def test_overflowing_perturbation_is_exit_2(capsys, claim, fmt):
     assert "perturb=1e+308" in _one_line_error(err)["error"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+@pytest.mark.parametrize("claim", ["theorem", "weak", "conjecture"])
+def test_overflowing_rounding_charge_is_exit_2(capsys, claim, fmt):
+    # a rounding charge margin_factor * tol_zero * mu_hat_(z+1) past double
+    # precision is refused in every format alike
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", claim, "--m", "1", "--margin-factor", "1e308",
+                                 "--tol-zero", "0.5", "--format", fmt, "--stable-output")
+    assert code == 2 and out == "" and caught == []
+    assert "margin_factor=1e+308" in _one_line_error(err)["error"]
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["json", "text"])
+@pytest.mark.parametrize("argv", [
+    ("spectrum2d", "--m", "1", "--bc", "neumann", "--tol-zero", "1.0"),
+    ("spectrum2d", "--m", "1", "--bc", "dirichlet", "--tol-zero", "1"),
+    ("oned", "--m", "1", "--bc", "neumann", "--tol-zero", "2"),
+    ("verify", "weak", "--m", "1", "--tol-zero", "1"),
+], ids=["spectrum2d-neumann", "spectrum2d-dirichlet", "oned", "weak"])
+def test_tol_zero_of_one_or_more_is_refused(capsys, argv, text):
+    # tol_zero >= 1 would zero the first positive eigenvalue and then fail its check
+    fmt = ("markdown" if argv[0] == "verify" else "csv") if text else "json"
+    code, out, err = run_cli(capsys, *argv, "--format", fmt, "--stable-output")
+    assert code == 2 and out == ""
+    assert "tol_zero must be below 1" in _one_line_error(err)["error"]
+
+
 EDGE_CLAIMS = ("theorem", "weak", "zero-modes", "monotonicity", "convex", "conjecture", "chain")
 EDGE_ARGS = {"k_max": ("--k-max", "2000"), "n51": ("--n", "51"), "n2": ("--n", "2"),
              "m3n3": ("--m", "3", "--n", "3")}
@@ -511,7 +539,16 @@ def test_claim_edge_configs_are_refused(capsys, claim, edge):
         return
     assert code == 2 and out == ""
     msg = _one_line_error(err)["error"]
-    assert any(s in msg for s in ("trusted capacity", "supported cap", "n_list")), msg
+    assert any(s in msg for s in ("trusted capacity", "supported cap")), msg
+
+
+@pytest.mark.parametrize("args", [("--n", "28"), ("--n", "5", "--k-max", "3")],
+                         ids=["n28", "n5-k3"])
+def test_root_monotonicity_runs_at_any_valid_grid(capsys, args):
+    # neither a rounding-level rise from a coarser grid (n=28) nor a grid too
+    # small to have a coarser one (n=5) refuses a valid request
+    code, out, _ = run_cli(capsys, "verify", "monotonicity", *args, "--stable-output")
+    assert code == 0 and json.loads(out)["passed"] is True
 
 
 def test_verify_output_deterministic(capsys):

@@ -5,9 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from phlab import galerkin
-from phlab.galerkin import (assemble_pencil, convergence_study, shape_derivatives,
-                            shape_table, solve_2d_eigensystem, solve_2d_spectrum,
-                            trusted_capacity)
+from phlab.galerkin import (assemble_pencil, shape_derivatives, shape_table,
+                            solve_2d_eigensystem, solve_2d_spectrum, trusted_capacity)
 from phlab.harness import square_laplacian_eigs
 from phlab.linalg import solve_gen_eig
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, Domain,
@@ -242,17 +241,17 @@ def test_subspace_inclusion_gives_ordered_spectra():
         assert np.all(mu[: lam.size] <= lam * (1.0 + 1e-9) + 1e-9)
 
 
+def clamped_rise(m, n_list, count):
+    """Largest rise of any of the first count clamped values from one grid to the next."""
+    values = np.vstack([solve_2d_spectrum(m, BC_DIRICHLET, n, SQUARE, count).values
+                        for n in n_list])
+    return np.diff(values, axis=0).max()
+
+
 def test_per_k_values_nonincreasing_in_n():
-    tab = convergence_study(1, BC_DIRICHLET, SQUARE, [8, 10, 12], count=6)
-    diffs = np.diff(tab.values, axis=0)
-    assert diffs.max() <= 1e-8
-    assert tab.error_estimates.shape == (6,)
-    npt.assert_allclose(tab.error_estimates,
-                        np.abs(tab.values[-1] - tab.values[-2]))
-
-
-def test_convergence_study_rejects_bad_grid_list():
-    with pytest.raises(InvalidArgumentError):
-        convergence_study(1, BC_DIRICHLET, SQUARE, [12, 8], count=4)
-    with pytest.raises(InvalidArgumentError):
-        convergence_study(1, BC_DIRICHLET, SQUARE, [12], count=4)
+    # nested conforming spaces make each lambda_hat_k nonincreasing in n; the
+    # 1e-8 slack covers rounding on these grids, which include those the
+    # root-monotonicity claim of the suite solves on
+    for m, n_list, count in ((1, (8, 10, 12), 6), (1, (12, 16), 8), (2, (12, 16), 8),
+                             (3, (10, 14), 8)):
+        assert clamped_rise(m, n_list, count) <= 1e-8, (m, n_list)

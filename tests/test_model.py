@@ -109,8 +109,8 @@ def test_config_type_checks():
     with pytest.raises(CapabilityError):
         validate_config(merge_config({"m": 9}))
     # tolerances are validated once, by ToleranceConfig; integers widen to float
-    for bad in ({"tol_zero": 0}, {"margin_factor": 0.5}, {"tol_root": "x"}):
+    for bad in ({"tol_zero": 0}, {"tol_zero": 1.0}, {"margin_factor": 0.5}, {"tol_root": "x"}):
         with pytest.raises(InvalidArgumentError):
             validate_config(merge_config(bad))
-    tol = validate_config(merge_config({"tol_zero": 1})).tol
-    assert tol.tol_zero == 1.0 and isinstance(tol.tol_zero, float)
+    tol = validate_config(merge_config({"margin_factor": 2})).tol
+    assert tol.margin_factor == 2.0 and isinstance(tol.margin_factor, float)
