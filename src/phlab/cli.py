@@ -20,12 +20,10 @@ from dataclasses import asdict
 from math import isfinite
 from typing import Optional
 
-import numpy as np
-
 from . import galerkin, harness, oned
 from .model import (BC_DIRICHLET, BC_NEUMANN, CONFIG_DEFAULTS, CapabilityError, Domain,
                     InvalidArgumentError, NumericalError, PhlabError, RunConfig,
-                    Spectrum, merge_config, validate_config)
+                    Spectrum, validate_config)
 
 SPECTRUM_FORMATS = ("json", "csv")
 REPORT_FORMATS = ("json", "markdown")
@@ -102,7 +100,7 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
         if not isinstance(file_layer, dict):
             raise InvalidArgumentError("config file must hold a JSON object")
     flag_layer = {k: getattr(ns, k) for k in CONFIG_DEFAULTS}
-    cfg = validate_config(merge_config(file_layer, flag_layer))
+    cfg = validate_config(file_layer, flag_layer)
     if ns.domain == "square":
         cfg = cfg.with_overrides(ly=cfg.lx)
     return cfg
@@ -122,11 +120,11 @@ def dumps17(obj, indent: int = 0) -> str:
     pad, pad1 = "  " * indent, "  " * (indent + 1)
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         v = float(obj)
         if not isfinite(v):
             raise NumericalError(f"non-finite value {v!r} in output")
@@ -139,7 +137,7 @@ def dumps17(obj, indent: int = 0) -> str:
         rows = [f"{pad1}{json.dumps(str(k))}: {dumps17(obj[k], indent + 1)}"
                 for k in sorted(obj, key=str)]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
             return "[]"

@@ -38,8 +38,8 @@ from math import comb, floor, log, log1p, perm, pi
 
 import numpy as np
 
-from .linalg import (check_pencil_dim, force_hermitian, gauss_legendre, hermitian_eig,
-                     legendre_derivatives, mass_whitener)
+from .linalg import (check_pencil_dim, gauss_legendre, hermitian_eig, legendre_derivatives,
+                     mass_whitener)
 from .model import (BC_NEUMANN, CapabilityError, Domain, InvalidArgumentError, MethodInfo,
                     Spectrum, ToleranceConfig, check_bc, check_order, make_spectrum, n_poly_dim)
 
@@ -78,7 +78,9 @@ def shape_table(bc: str, m: int, n: int, nq: int) -> tuple[np.ndarray, np.ndarra
 
     F[a, i, q] = phi_i^(a)(t_q) sqrt(w_q) and G[a] = F[a] @ F[a].T, the Gram
     of integrals of phi_i^(a) phi_j^(a), for 0 <= a <= m.  G is exact once
-    nq >= n + 2m: the largest integrand degree is 2(n - 1) + 4m.  Each table
+    nq >= n + 2m: the largest integrand degree is 2(n - 1) + 4m.  It is
+    exactly symmetric, since the unoptimized einsum sums G[a, i, j] and
+    G[a, j, i] over the same products in the same order.  Each table
     is built once per process and shared, so both arrays are read-only.
     """
     t, w = gauss_legendre(nq)
@@ -154,8 +156,6 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBloc
         raise InvalidArgumentError(f"need n >= m + 1 = {m + 1} shape functions per axis, got {n}")
     check_pencil_dim(n * n)
     F, G = shape_table(bc, m, n, n + 2 * m + 2)
-    for Ga in G:
-        force_hermitian(Ga)  # the quadrature must give symmetric 1d Grams
     parity = [np.arange(p, n, 2) for p in (0, 1)]
     binom = np.array([comb(m, a) for a in range(m + 1)], dtype=float)
     blocks = []

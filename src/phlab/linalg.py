@@ -14,6 +14,8 @@ import numpy as np
 
 from .model import CapabilityError, InvalidArgumentError, NumericalError
 
+MAX_GAUSS_NODES = 256
+
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
@@ -25,15 +27,15 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     Parameters
     ----------
     n : int
-        Number of nodes, within the supported range 1..256.
+        Number of nodes, within the supported range 1..MAX_GAUSS_NODES.
 
     Returns
     -------
     x, w : ndarray
         Nodes in ascending order and the matching positive weights.
     """
-    if not 1 <= n <= 256:
-        raise CapabilityError(f"quadrature size n={n} outside the supported range 1..256")
+    if not 1 <= n <= MAX_GAUSS_NODES:
+        raise CapabilityError(f"quadrature size n={n} outside the supported range 1..{MAX_GAUSS_NODES}")
     return _gauss_legendre_rule(n)
 
 
@@ -118,10 +120,6 @@ def check_pencil_dim(dim: int) -> None:
     """Raise CapabilityError for a dense pencil dimension above MAX_PENCIL_DIM."""
     if dim > MAX_PENCIL_DIM:
         raise CapabilityError(f"pencil dimension {dim} exceeds the supported cap {MAX_PENCIL_DIM}")
-
-
-def min_singular_value(M: np.ndarray) -> float:
-    return float(np.linalg.svd(np.asarray(M), compute_uv=False)[-1])
 
 
 def mass_whitener(B: np.ndarray) -> np.ndarray:

@@ -269,9 +269,9 @@ class VerificationReport:
         }
 
 
-# Config handling.  A flat dict of primitives comes in (defaults, then file,
-# then command-line flags, later sources winning); validate_config turns it
-# into a typed RunConfig or raises.
+# Config handling.  Flat dicts of primitives come in (defaults, then file,
+# then command-line flags, later sources winning); validate_config merges
+# them into a typed RunConfig or raises.
 
 CONFIG_DEFAULTS: dict = {
     "m": 2,
@@ -306,27 +306,19 @@ class RunConfig:
         return replace(self, **kv)
 
 
-def merge_config(*layers: dict) -> dict:
-    """Later layers win; None values do not override earlier settings."""
-    out = dict(CONFIG_DEFAULTS)
-    for layer in layers:
-        for k, v in layer.items():
-            if v is not None:
-                out[k] = v
-    return out
+def validate_config(*layers: dict) -> RunConfig:
+    """Merge flat config dicts over CONFIG_DEFAULTS and return a typed RunConfig.
 
-
-def validate_config(raw: dict) -> RunConfig:
-    """Validate a merged flat config dict and return a typed RunConfig.
-
+    Later layers win, and None values do not override earlier settings.
     Unknown keys are rejected rather than ignored so that a typo in a config
     file cannot silently fall back to a default.
     """
-    unknown = sorted(set(raw) - set(CONFIG_DEFAULTS))
+    cfg = dict(CONFIG_DEFAULTS)
+    for layer in layers:
+        cfg.update({k: v for k, v in layer.items() if v is not None})
+    unknown = sorted(set(cfg) - set(CONFIG_DEFAULTS))
     if unknown:
         raise InvalidArgumentError(f"unknown config key: {unknown[0]!r}")
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg.update({k: v for k, v in raw.items() if v is not None})
 
     m = cfg["m"]
     if isinstance(m, float) and m.is_integer():

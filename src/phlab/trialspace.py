@@ -38,9 +38,9 @@ from math import ceil, comb
 import numpy as np
 
 from .galerkin import Eigensystem2D, shape_table
-from .linalg import force_hermitian, gauss_legendre, min_singular_value, solve_gen_eig
-from .model import (BC_DIRICHLET, GramDegeneracyError, InvalidArgumentError, NumericalError,
-                    ToleranceConfig, check_order)
+from .linalg import MAX_GAUSS_NODES, force_hermitian, gauss_legendre, solve_gen_eig
+from .model import (BC_DIRICHLET, CapabilityError, GramDegeneracyError, InvalidArgumentError,
+                    NumericalError)
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 GRAM_SV_FLOOR = 1e-8  # a combined basis at or below this is not (k+m)-dimensional
@@ -57,119 +57,39 @@ def roots_of_unity(m: int) -> np.ndarray:
     return xi
 
 
-@dataclass(frozen=True)
-class TrialSpace:
-    """A member v = sum_j alpha_j e^(i xi_j omega.x) of V_omega."""
+def wave_identity_residuals(m: int, omega: np.ndarray, alpha: np.ndarray,
+                            points: np.ndarray) -> tuple[float, float]:
+    """Pointwise residuals of both identities for v = sum_j alpha_j e^(i xi_j omega.x).
 
-    m: int
-    omega: np.ndarray  # real 2-vector, nonzero
-    alpha: np.ndarray  # complex coefficients, length m
+    pde  = max |(-Lap)^m v - |omega|^(2m) v| / (|omega|^(2m) max|v|)
+    grad = max ||D^m v|^2 - |omega|^(2m) |v|^2| / (|omega|^(2m) max|v|^2)
 
-    def __post_init__(self):
-        check_order(self.m)
-        omega = np.asarray(self.omega, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=complex)
-        if omega.shape != (2,) or not np.all(np.isfinite(omega)):
-            raise InvalidArgumentError("omega must be a finite real 2-vector")
-        if np.hypot(omega[0], omega[1]) == 0.0:
-            raise InvalidArgumentError("omega must be nonzero")
-        if alpha.shape != (self.m,):
-            raise InvalidArgumentError(f"alpha must have length m={self.m}")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def xi(self) -> np.ndarray:
-        return roots_of_unity(self.m)
-
-    @property
-    def level(self) -> float:
-        """|omega|^(2m), the eigen-level every member of V_omega sits at."""
-        return float(np.hypot(self.omega[0], self.omega[1]) ** (2 * self.m))
-
-
-@dataclass(frozen=True)
-class TrialEvaluation:
-    """Closed-form values of v, its order-m mixed partials, and (-Lap)^m v.
-
-    mixed[a] holds d_x^a d_y^(m-a) v, a = 0..m; all other order-m partials
-    are permutations of these.
+    over the rows (x, y) of points.  |D^m v|^2 sums |partial|^2 over all 2^m
+    ordered index tuples, one sequential component product per tuple, so it
+    does not lean on the binomial regrouping the chain certificate uses.  A
+    residual whose normalizer is zero (max|v|, resp. max|v|^2) is 0.0.
     """
-
-    values: np.ndarray       # complex (npts,)
-    mixed: np.ndarray        # complex (m+1, npts)
-    polyharmonic: np.ndarray  # complex (npts,)
-
-
-def _phases(ts: TrialSpace, points: np.ndarray) -> np.ndarray:
-    """e^(i xi_j omega.x) for each wave j and point, shape (m, npts)."""
-    dot = points @ ts.omega
-    return np.exp(1j * np.outer(ts.xi, dot))
-
-
-def trial_eval(ts: TrialSpace, points: np.ndarray) -> TrialEvaluation:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != 2 or not np.all(np.isfinite(points)):
-        raise InvalidArgumentError("points must be finite rows of (x, y)")
-    m = ts.m
-    ph = _phases(ts, points)
-    values = ts.alpha @ ph
-    wx, wy = ts.omega
-    base = ts.alpha * (1j * ts.xi) ** m  # per-wave factor shared by all order-m partials
-    mixed = np.empty((m + 1, points.shape[0]), dtype=complex)
-    for a in range(m + 1):
-        mixed[a] = (base * wx ** a * wy ** (m - a)) @ ph
-    level = np.hypot(wx, wy) ** (2 * m)
-    # written with the explicit xi^(2m) factor so the identity test measures
+    xi = roots_of_unity(m)
+    level = float(np.hypot(omega[0], omega[1]) ** (2 * m))
+    ph = np.exp(1j * np.outer(xi, points @ omega))  # wave j at each point
+    values = alpha @ ph
+    # written with the explicit xi^(2m) factor so the residual measures
     # rounding, not an algebraic shortcut
-    polyharmonic = (ts.alpha * ts.xi ** (2 * m) * level) @ ph
-    return TrialEvaluation(values=values, mixed=mixed, polyharmonic=polyharmonic)
-
-
-def verify_pde_identity(ts: TrialSpace, points: np.ndarray) -> float:
-    """max over points of |(-Lap)^m v - |omega|^(2m) v| / (|omega|^(2m) max|v|)."""
-    ev = trial_eval(ts, points)
-    vmax = float(np.max(np.abs(ev.values)))
-    if vmax == 0.0:
-        return 0.0
-    return float(np.max(np.abs(ev.polyharmonic - ts.level * ev.values)) / (ts.level * vmax))
-
-
-def mth_gradient_square(ts: TrialSpace, points: np.ndarray, grouped: bool = False) -> np.ndarray:
-    """|D^m v|^2 at each point.
-
-    grouped=False sums |partial|^2 over all 2^m ordered index tuples, one
-    sequential component product per tuple; grouped=True uses the binomial
-    regrouping sum_a C(m, a) |d_x^a d_y^(m-a) v|^2.  The two must agree to
-    rounding; keeping both routes makes that a checkable fact.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    m = ts.m
-    if grouped:
-        ev = trial_eval(ts, points)
-        return np.einsum("a,ap->p", np.array([comb(m, a) for a in range(m + 1)], dtype=float),
-                         np.abs(ev.mixed) ** 2)
-    ph = _phases(ts, points)
-    base = ts.alpha * (1j * ts.xi) ** m
-    total = np.zeros(points.shape[0])
+    polyharmonic = (alpha * xi ** (2 * m) * level) @ ph
+    base = alpha * (1j * xi) ** m  # per-wave factor shared by all order-m partials
+    grad2 = np.zeros(points.shape[0])
     for tup in iter_product((0, 1), repeat=m):
         factor = 1.0
         for axis in tup:
-            factor = factor * ts.omega[axis]
-        partial = (base * factor) @ ph
-        total += np.abs(partial) ** 2
-    return total
-
-
-def verify_mth_gradient_identity(ts: TrialSpace, points: np.ndarray) -> float:
-    """max over points of ||D^m v|^2 - |omega|^(2m)|v|^2| / (|omega|^(2m) max|v|^2)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    values = ts.alpha @ _phases(ts, points)
+            factor = factor * omega[axis]
+        grad2 += np.abs((base * factor) @ ph) ** 2
+    vmax = float(np.max(np.abs(values)))
     vmax2 = float(np.max(np.abs(values) ** 2))
-    if vmax2 == 0.0:
-        return 0.0
-    lhs = mth_gradient_square(ts, points, grouped=False)
-    return float(np.max(np.abs(lhs - ts.level * np.abs(values) ** 2)) / (ts.level * vmax2))
+    pde = 0.0 if vmax == 0.0 else float(
+        np.max(np.abs(polyharmonic - level * values)) / (level * vmax))
+    grad = 0.0 if vmax2 == 0.0 else float(
+        np.max(np.abs(grad2 - level * np.abs(values) ** 2)) / (level * vmax2))
+    return pde, grad
 
 
 def vandermonde_check(zetas) -> float:
@@ -235,7 +155,7 @@ def _normalized_gram_min_sv(M: np.ndarray) -> float:
     d = np.sqrt(np.abs(np.real(np.diag(M))))
     if np.any(d == 0.0):
         return 0.0
-    return min_singular_value(M / np.outer(d, d))
+    return float(np.linalg.svd(M / np.outer(d, d), compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -243,27 +163,17 @@ class ChainCertificate:
     """Outcome of the discrete chain bound on W = span(u_1..u_k) + V_omega.
 
     max_rayleigh is the largest generalized eigenvalue of the order-m
-    stiffness/mass forms restricted to W; the certificate holds when it does
-    not exceed lambda_hat (1 + tol_identity).  gram_min_sv documents that W
-    is genuinely (k+m)-dimensional.
+    stiffness/mass forms restricted to W, to be compared with lambda_hat;
+    gram_min_sv documents that W is genuinely (k+m)-dimensional.
     """
 
-    m: int
-    k: int
     lambda_hat: float
     omega: np.ndarray
     max_rayleigh: float
     gram_min_sv: float
-    dim_w: int
-    tol_identity: float
-
-    @property
-    def bound_ok(self) -> bool:
-        return self.max_rayleigh <= self.lambda_hat * (1.0 + self.tol_identity)
 
 
-def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D,
-                          tol: ToleranceConfig = ToleranceConfig()) -> ChainCertificate:
+def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
     """Assemble the (k+m) x (k+m) forms on W and bound its Rayleigh quotient.
 
     The direction walks theta_t = t * pi (3 - sqrt(5)) at radius
@@ -280,17 +190,21 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D,
     equals the sum over the 2d grid in exact arithmetic.  They are Hermitian
     and solved with the dense Hermitian pencil solver; the certificate
     records the largest eigenvalue and the combined basis conditioning.
+    A rule past MAX_GAUSS_NODES, which a long thin rectangle needs at large
+    lambda_hat_k, is refused with CapabilityError before any table is built.
     """
-    m = check_order(m)
     spec = eigsys.spectrum
     if spec.bc != BC_DIRICHLET:
         raise InvalidArgumentError("chain bound needs the clamped eigensystem")
-    if spec.m != m:
-        raise InvalidArgumentError("order mismatch between m and the eigensystem")
+    m, dom, n = spec.m, spec.domain, spec.method.n_per_axis
     lambda_hat = spec.value(k)  # refuses k outside 1..count
     r = lambda_hat ** (1.0 / (2 * m))
-    dom, n = spec.domain, spec.method.n_per_axis
-    F, G = shape_table(spec.bc, m, n, _chain_quad_floor(n, r, max(dom.lx, dom.ly)))
+    nq = _chain_quad_floor(n, r, max(dom.lx, dom.ly))
+    if nq > MAX_GAUSS_NODES:
+        raise CapabilityError(
+            f"the chain certificate for k={k} on the {dom.lx:g} x {dom.ly:g} rectangle "
+            f"needs {nq} Gauss nodes per axis, over the {MAX_GAUSS_NODES}-node limit")
+    F, G = shape_table(spec.bc, m, n, nq)
     xi = roots_of_unity(m)
     C = eigsys.vectors[:, :k].T.reshape(k, n, n)
     for t in range(MAX_DIRECTIONS):
@@ -314,6 +228,5 @@ def certified_chain_bound(m: int, k: int, eigsys: Eigensystem2D,
     beta = np.array([comb(m, b) for b in a], dtype=float)
     S = _chain_form(C, x, y, beta, c)
     w, _ = solve_gen_eig(force_hermitian(S), force_hermitian(M))
-    return ChainCertificate(m=m, k=k, lambda_hat=lambda_hat, omega=omega,
-                            max_rayleigh=float(w[-1]), gram_min_sv=float(gram_min_sv),
-                            dim_w=k + m, tol_identity=tol.tol_identity)
+    return ChainCertificate(lambda_hat=lambda_hat, omega=omega, max_rayleigh=float(w[-1]),
+                            gram_min_sv=gram_min_sv)

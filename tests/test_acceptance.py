@@ -17,9 +17,8 @@ from phlab.harness import (gradient_energy, h0_sample_coeffs, laplacian_power_en
                            oned_counterexample, square_laplacian_eigs)
 from phlab.model import BC_DIRICHLET, BC_NEUMANN, Domain
 from phlab.oned import positive_roots, solve_1d_spectrum
-from phlab.trialspace import (TrialSpace, certified_chain_bound, roots_of_unity,
-                              vandermonde_check,
-                              verify_mth_gradient_identity, verify_pde_identity)
+from phlab.trialspace import (certified_chain_bound, roots_of_unity, vandermonde_check,
+                              wave_identity_residuals)
 
 SQUARE = Domain.rectangle(1.0, 1.0)
 
@@ -110,23 +109,22 @@ def test_05_wave_identities_pointwise():
     rng = np.random.default_rng(515)
     for m in (1, 2, 3):
         theta, r = rng.uniform(0.0, 2 * pi), rng.uniform(2.0, 9.0)
-        ts = TrialSpace(m=m,
-                        omega=np.array([r * np.cos(theta), r * np.sin(theta)]),
-                        alpha=rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        omega = np.array([r * np.cos(theta), r * np.sin(theta)])
+        alpha = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         pts = rng.uniform(-1.0, 1.0, size=(100, 2))
-        assert verify_pde_identity(ts, pts) <= 1e-12
-        assert verify_mth_gradient_identity(ts, pts) <= 1e-12
+        pde, grad = wave_identity_residuals(m, omega, alpha, pts)
+        assert pde <= 1e-12
+        assert grad <= 1e-12
 
 
 def test_06_certified_chain_bound_on_square_plate():
     sysd = solve_2d_eigensystem(2, BC_DIRICHLET, 16, SQUARE, count=5)
     for k in range(1, 6):
         lam = sysd.spectrum.value(k)
-        cert = certified_chain_bound(2, k, sysd)
+        cert = certified_chain_bound(k, sysd)
         npt.assert_allclose(np.hypot(*cert.omega) ** 4, lam, rtol=1e-12)
         assert cert.max_rayleigh <= lam * (1.0 + 1e-8)
         assert cert.gram_min_sv > 1e-8
-        assert cert.dim_w == k + 2
 
 
 def test_07_vandermonde_independence():

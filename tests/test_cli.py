@@ -526,11 +526,14 @@ def test_tol_zero_of_one_or_more_is_refused(capsys, argv, text):
 
 EDGE_CLAIMS = ("theorem", "weak", "zero-modes", "monotonicity", "convex", "conjecture", "chain")
 EDGE_ARGS = {"k_max": ("--k-max", "2000"), "n51": ("--n", "51"), "n2": ("--n", "2"),
-             "m3n3": ("--m", "3", "--n", "3")}
+             "m3n3": ("--m", "3", "--n", "3"),
+             # the chain certificate's wave needs 2028 Gauss nodes per axis at k=1
+             "thin": ("--m", "1", "--n", "16", "--k-max", "3", "--ly", "1e-3")}
+EDGE_CASES = [(claim, edge) for claim in EDGE_CLAIMS for edge in sorted(EDGE_ARGS)
+              if edge != "thin" or claim == "chain"]
 
 
-@pytest.mark.parametrize("edge", sorted(EDGE_ARGS))
-@pytest.mark.parametrize("claim", EDGE_CLAIMS)
+@pytest.mark.parametrize("claim, edge", EDGE_CASES)
 def test_claim_edge_configs_are_refused(capsys, claim, edge):
     # each is refused by config validation or the solver; zero-modes has no k_max
     code, out, err = run_cli(capsys, "verify", claim, *EDGE_ARGS[edge], "--stable-output")
@@ -539,6 +542,9 @@ def test_claim_edge_configs_are_refused(capsys, claim, edge):
         return
     assert code == 2 and out == ""
     msg = _one_line_error(err)["error"]
+    if edge == "thin":
+        assert "k=1 on the 1 x 0.001 rectangle" in msg and "256-node limit" in msg, msg
+        return
     assert any(s in msg for s in ("trusted capacity", "supported cap")), msg
 
 

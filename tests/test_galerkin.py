@@ -50,6 +50,19 @@ def test_clamped_mass_gram_hand_value():
     npt.assert_allclose(G[0, 0, 0], 16.0 / 15.0, rtol=1e-14)
 
 
+
+def test_shape_table_grams_are_exactly_symmetric():
+    # assemble_pencil uses the Grams as symmetric with no runtime check: the
+    # einsum forms G[a, i, j] and G[a, j, i] from the same products in the
+    # same order.  Covers both families, orders 1..4 and n = 1..50, at the
+    # solver's rule and at a finer one
+    for bc in (BC_DIRICHLET, BC_NEUMANN):
+        for m in (1, 2, 3, 4):
+            for n in range(1, 51):
+                for nq in (n + 2 * m + 2, min(256, n + 40)):
+                    _, G = shape_table(bc, m, n, nq)
+                    assert np.array_equal(G, G.transpose(0, 2, 1)), (bc, m, n, nq)
+
 def test_pencil_shapes_and_definiteness():
     for m, bc in ((1, BC_DIRICHLET), (2, BC_NEUMANN)):
         blocks = assemble_pencil(m, bc, 6, SQUARE)

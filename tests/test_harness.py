@@ -8,11 +8,11 @@ from phlab.harness import (ALIASES, CLAIMS, SUITE_JOBS, gradient_energy, h0_samp
                            resolve_claim_id, run_claim, run_suite, square_laplacian_eigs,
                            suite_passed)
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, Domain, InvalidArgumentError,
-                         merge_config, n_poly_dim, validate_config)
+                         n_poly_dim, validate_config)
 
 
 def _cfg(**kv):
-    return validate_config(merge_config(kv))
+    return validate_config(kv)
 
 
 def test_square_enumeration_values():

@@ -2,8 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phlab.linalg import (force_hermitian, gauss_legendre, legendre_derivatives,
-                          min_singular_value, solve_gen_eig)
+from phlab.linalg import force_hermitian, gauss_legendre, legendre_derivatives, solve_gen_eig
 from phlab.model import CapabilityError, InvalidArgumentError, NumericalError
 
 
@@ -113,8 +112,3 @@ def test_solve_gen_eig_dimension_cap():
     n = 2501
     with pytest.raises(CapabilityError):
         solve_gen_eig(np.eye(n), np.eye(n))
-
-
-def test_min_singular_value_known():
-    M = np.diag([3.0, 0.25])
-    assert abs(min_singular_value(M) - 0.25) < 1e-14

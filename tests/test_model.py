@@ -4,7 +4,7 @@ import pytest
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, CONFIG_DEFAULTS, Domain,
                          InvalidArgumentError, CapabilityError, MethodInfo,
                          NumericalError, ToleranceConfig, check_bc, check_order,
-                         make_spectrum, merge_config, n_poly_dim, validate_config)
+                         make_spectrum, n_poly_dim, validate_config)
 
 
 def test_zero_mode_dimension_small_cases():
@@ -86,31 +86,33 @@ def test_spectrum_trusted_access():
 
 
 def test_config_merge_precedence():
-    merged = merge_config({"m": 1, "n": 20}, {"m": 3, "n": None})
-    assert merged["m"] == 3          # later layer wins
-    assert merged["n"] == 20         # None never overrides
-    assert merged["seed"] == CONFIG_DEFAULTS["seed"]
+    cfg = validate_config({"m": 1, "n": 20}, {"m": 3, "n": None})
+    assert cfg.m == 3          # later layer wins
+    assert cfg.n == 20         # None never overrides
+    assert cfg.seed == CONFIG_DEFAULTS["seed"]
 
 
 def test_config_unknown_key_rejected():
     with pytest.raises(InvalidArgumentError, match="unknown config key"):
-        validate_config(merge_config({"m_max": 3}))
+        validate_config({"m_max": 3})
+    with pytest.raises(InvalidArgumentError, match="unknown config key"):
+        validate_config({"m_max": 3}, {"m": 2})
 
 
 def test_config_type_checks():
-    cfg = validate_config(merge_config({"m": 2.0, "count": 7}))
+    cfg = validate_config({"m": 2.0, "count": 7})
     assert cfg.m == 2 and cfg.count == 7
     with pytest.raises(InvalidArgumentError):
-        validate_config(merge_config({"count": 0}))
+        validate_config({"count": 0})
     with pytest.raises(InvalidArgumentError):
-        validate_config(merge_config({"lx": -2.0}))
+        validate_config({"lx": -2.0})
     with pytest.raises(InvalidArgumentError):
-        validate_config(merge_config({"perturb": -0.5}))
+        validate_config({"perturb": -0.5})
     with pytest.raises(CapabilityError):
-        validate_config(merge_config({"m": 9}))
+        validate_config({"m": 9})
     # tolerances are validated once, by ToleranceConfig; integers widen to float
     for bad in ({"tol_zero": 0}, {"tol_zero": 1.0}, {"margin_factor": 0.5}, {"tol_root": "x"}):
         with pytest.raises(InvalidArgumentError):
-            validate_config(merge_config(bad))
-    tol = validate_config(merge_config({"margin_factor": 2})).tol
+            validate_config(bad)
+    tol = validate_config({"margin_factor": 2}).tol
     assert tol.margin_factor == 2.0 and isinstance(tol.margin_factor, float)

@@ -5,7 +5,7 @@ import pytest
 from phlab import oned
 from phlab.harness import run_claim
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, InvalidArgumentError,
-                         ToleranceConfig, merge_config, validate_config)
+                         ToleranceConfig, validate_config)
 from phlab.oned import (boundary_matrix, characteristic_roots, det_indicator,
                         positive_roots, solution_derivatives, solve_1d_spectrum)
 
@@ -172,7 +172,7 @@ def test_spectrum_count_shorter_than_zero_block():
 
 
 def _cfg(**kv):
-    return validate_config(merge_config(kv))
+    return validate_config(kv)
 
 
 def test_root_coincidence_claim():
