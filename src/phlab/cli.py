@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import Optional
 
@@ -115,34 +116,47 @@ def config_as_json(cfg: RunConfig) -> dict:
 
 # --- serialization ----------------------------------------------------------
 
-def dumps17(obj, indent: int = 0) -> str:
-    """JSON text with dict keys sorted and floats at 17 significant digits."""
-    pad, pad1 = "  " * indent, "  " * (indent + 1)
+def _scalar17(obj) -> Optional[str]:
+    """JSON text of a finite float, None, a bool, an int or a str; None for anything else."""
+    if isinstance(obj, float):
+        v = float(obj)
+        if not isfinite(v):
+            raise NumericalError(f"non-finite value {v!r} in output")
+        return format(v, ".17g")
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, float):
-        v = float(obj)
-        if not isfinite(v):
-            raise NumericalError(f"non-finite value {v!r} in output")
-        return format(v, ".17g")
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)  # what json.dumps writes for a str
+    return None
+
+
+def dumps17(obj, indent: int = 0) -> str:
+    """JSON text with dict keys sorted and floats at 17 significant digits.
+
+    A list or a dict is written as one join of its entries' texts; only an
+    entry that is itself a list or a dict takes a recursive call.
+    """
+    text = _scalar17(obj)
+    if text is not None:
+        return text
+    pad, pad1 = "  " * indent, "  " * (indent + 1)
+    sep = ",\n" + pad1
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        rows = [f"{pad1}{json.dumps(str(k))}: {dumps17(obj[k], indent + 1)}"
+        rows = [f"{encode_basestring_ascii(str(k))}: "
+                f"{_scalar17(obj[k]) or dumps17(obj[k], indent + 1)}"
                 for k in sorted(obj, key=str)]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+        return f"{{\n{pad1}{sep.join(rows)}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        rows = [f"{pad1}{dumps17(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
+        rows = [_scalar17(v) or dumps17(v, indent + 1) for v in obj]
+        return f"[\n{pad1}{sep.join(rows)}\n{pad}]"
     raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
 
 

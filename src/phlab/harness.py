@@ -50,10 +50,10 @@ def square_laplacian_eigs(bc: str, count: int, lx: float = 1.0, ly: float = 1.0)
     return np.sort(vals, axis=None)[:count]
 
 
-def _perturbed(values: np.ndarray, perturb: float) -> np.ndarray:
+def _perturbed(values, perturb: float) -> np.ndarray:
     """Computed free eigenvalues scaled by (1 + perturb); an overflow is refused."""
     with np.errstate(over="ignore"):
-        out = values * (1.0 + perturb)
+        out = np.asarray(values, dtype=float) * (1.0 + perturb)
     if not np.all(np.isfinite(out)):
         raise CapabilityError(f"perturb={perturb:g} overflows a computed eigenvalue")
     return out
@@ -90,7 +90,7 @@ def claim_oned_coincidence(cfg: RunConfig) -> VerificationReport:
     lam_d = positive_roots(m, BC_DIRICHLET, count, length, cfg.tol)
     lam_n = _perturbed(positive_roots(m, BC_NEUMANN, count, length, cfg.tol), cfg.perturb)
     records = tuple(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=rel_tol - abs(lhs - rhs) / rhs)
-                    for k, (lhs, rhs) in enumerate(zip(lam_n.tolist(), lam_d.tolist()), start=1))
+                    for k, (lhs, rhs) in enumerate(zip(lam_n.tolist(), lam_d), start=1))
     return VerificationReport(
         claim_id="oned-coincidence",
         passed=all(r.slack >= 0.0 for r in records),
@@ -107,8 +107,8 @@ def _zero_modes(spec: Spectrum) -> VerificationReport:
     """One (d, m) part of zero-modes: exactly n_poly_dim(d, m) zeros, then a positive value."""
     d, m = spec.domain.dimension, spec.m
     expected = n_poly_dim(d, m)
-    found = int(np.sum(spec.values == 0.0))
-    first_pos = float(spec.values[expected])
+    found = spec.values.count(0.0)
+    first_pos = spec.values[expected]
     records = (
         CheckRecord(k=1, lhs=float(found), rhs=float(expected),
                     slack=0.0 if found == expected else -abs(found - expected)),
@@ -278,8 +278,8 @@ def claim_root_monotonicity(cfg: RunConfig) -> VerificationReport:
     for m in (1, 2):
         v_lo, v_hi = values[m], values[m + 1]
         for k in range(1, k_max + 1):
-            lhs = float(v_lo[k - 1]) ** (1.0 / m)
-            rhs = float(v_hi[k - 1]) ** (1.0 / (m + 1))
+            lhs = v_lo[k - 1] ** (1.0 / m)
+            rhs = v_hi[k - 1] ** (1.0 / (m + 1))
             records.append(CheckRecord(k=k, lhs=lhs, rhs=rhs, slack=(rhs * 1.01 - lhs) / rhs))
     return VerificationReport(
         claim_id="root-monotonicity",

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from math import comb, isfinite
+from numbers import Integral, Real
 from typing import Optional
-
-import numpy as np
 
 
 class PhlabError(Exception):
@@ -42,7 +41,7 @@ def check_bc(bc: str) -> str:
 
 
 def check_order(m: int) -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
+    if not isinstance(m, Integral) or isinstance(m, bool):
         raise InvalidArgumentError(f"m must be an integer, got {m!r}")
     if not (M_MIN <= m <= M_MAX):
         raise CapabilityError(
@@ -162,12 +161,12 @@ class Spectrum:
     bc: str
     domain: Domain
     method: MethodInfo
-    values: np.ndarray
+    values: tuple[float, ...]
     tol: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     @property
     def trusted_count(self) -> int:
-        return int(self.values.size)
+        return len(self.values)
 
     @property
     def zero_count(self) -> int:
@@ -179,7 +178,7 @@ class Spectrum:
             raise InvalidArgumentError(
                 f"index k={k} outside trusted range 1..{self.trusted_count}"
             )
-        return float(self.values[k - 1])
+        return self.values[k - 1]
 
     def as_json(self) -> dict:
         return {
@@ -188,46 +187,49 @@ class Spectrum:
             "bc": self.bc,
             "domain": self.domain.as_json(),
             "method": self.method.as_json(),
-            "eigenvalues": [float(v) for v in self.values],
+            "eigenvalues": list(self.values),
             "trusted_count": self.trusted_count,
             "tolerances": asdict(self.tol),
         }
 
 
 def make_spectrum(m: int, bc: str, domain: Domain, method: MethodInfo,
-                  values: np.ndarray, tol: ToleranceConfig = ToleranceConfig()) -> Spectrum:
+                  values, tol: ToleranceConfig = ToleranceConfig()) -> Spectrum:
     """Clamp the zero block, validate sign/order structure, and freeze a Spectrum.
 
-    Clamping is relative: entries are zeroed when |v| <= tol_zero * ref with
-    ref the first entry past the expected zero block.  Any residual negative
-    entry, a nonzero inside the zero block, or a zero outside it is treated as
-    a failure of the numerics, not of the caller.
+    values is a flat sequence of real numbers.  Clamping is relative:
+    entries are zeroed when |v| <= tol_zero * ref with ref the first entry
+    past the expected zero block, or max(1, max |v|) when there is none.  Any
+    residual negative entry, a nonzero inside the zero block, or a zero
+    outside it is treated as a failure of the numerics, not of the caller.
     """
     m = check_order(m)
     bc = check_bc(bc)
-    vals = np.asarray(values, dtype=float).copy()
-    if vals.ndim != 1:
+    flat = not isinstance(values, Real) and getattr(values, "ndim", 1) == 1
+    vals = list(values) if flat else []
+    if not (flat and all(isinstance(v, Real) for v in vals)):
         raise InvalidArgumentError("values must be a 1d array")
+    vals = [float(v) for v in vals]
     z = n_poly_dim(domain.dimension, m) if bc == BC_NEUMANN else 0
-    ref = float(vals[z]) if z < vals.size else float(np.max(np.abs(vals), initial=1.0))
+    ref = vals[z] if z < len(vals) else max([1.0, *map(abs, vals)])
     if ref <= 0.0:
         raise NumericalError(
             f"first eigenvalue past the zero block is {ref!r}, expected positive"
         )
-    vals[np.abs(vals) <= tol.tol_zero * ref] = 0.0
-    if np.any(vals[:z] != 0.0):
-        bad = int(np.nonzero(vals[:z])[0][0])
+    vals = [0.0 if abs(v) <= tol.tol_zero * ref else v for v in vals]
+    bad = next((i for i, v in enumerate(vals[:z]) if v != 0.0), None)
+    if bad is not None:
         raise NumericalError(
             f"eigenvalue {bad + 1} should sit in the zero block but is {vals[bad]:.3e}"
         )
-    if np.any(vals[z:] <= 0.0):
-        bad = z + int(np.nonzero(vals[z:] <= 0.0)[0][0])
+    bad = next((i for i in range(z, len(vals)) if vals[i] <= 0.0), None)
+    if bad is not None:
         raise NumericalError(
             f"eigenvalue {bad + 1} is {vals[bad]:.3e}, expected strictly positive"
         )
-    if np.any(np.diff(vals) < 0.0):
+    if any(b < a for a, b in zip(vals, vals[1:])):
         raise NumericalError("eigenvalues are not ascending after clamping")
-    return Spectrum(m=m, bc=bc, domain=domain, method=method, values=vals, tol=tol)
+    return Spectrum(m=m, bc=bc, domain=domain, method=method, values=tuple(vals), tol=tol)
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,12 @@ def test_04_square_plate_zero_modes_and_strict_gap():
     specs = {n: solve_2d_spectrum(2, BC_NEUMANN, n, SQUARE, count=12)
              for n in (12, 16, 20)}
     for n, s in specs.items():
-        assert int(np.sum(s.values == 0.0)) == 3
+        assert int(np.sum(np.asarray(s.values) == 0.0)) == 3
     # refinement can only lower each eigenvalue; 1e-8 relative headroom
     # covers the dense-solver roundoff floor at these matrix sizes
     for n_lo, n_hi in ((12, 16), (16, 20)):
-        assert np.all(specs[n_hi].values <= specs[n_lo].values * (1.0 + 1e-8))
+        assert np.all(np.asarray(specs[n_hi].values)
+                      <= np.asarray(specs[n_lo].values) * (1.0 + 1e-8))
 
     lam16 = solve_2d_spectrum(2, BC_DIRICHLET, 16, SQUARE, count=8)
     lam20 = solve_2d_spectrum(2, BC_DIRICHLET, 20, SQUARE, count=8)
@@ -156,7 +157,7 @@ def test_09_eigenvalue_root_monotonicity_in_order():
     roots = {}
     for m in (1, 2, 3):
         spec = solve_2d_spectrum(m, BC_DIRICHLET, 16, SQUARE, count=5)
-        roots[m] = spec.values ** (1.0 / m)
+        roots[m] = np.asarray(spec.values) ** (1.0 / m)
     for m in (1, 2):
         assert np.all(roots[m + 1] >= roots[m] * (1.0 - 0.01))
 

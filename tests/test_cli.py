@@ -89,7 +89,7 @@ def test_csv_round_trip(capsys):
 
 def test_empty_spectrum_serializes():
     spec = Spectrum(m=1, bc=BC_DIRICHLET, domain=Domain.interval(),
-                    method=MethodInfo("Exact1D"), values=np.array([]))
+                    method=MethodInfo("Exact1D"), values=())
     doc = json.loads(cli.dumps17(spec.as_json()))
     assert doc["eigenvalues"] == [] and doc["trusted_count"] == 0
     assert parse_spectrum_csv(cli.spectrum_csv(spec)) == ([], [])
@@ -365,6 +365,9 @@ def test_clamped_m3_large_n_solves(capsys):
 
 
 ALL_LAYERS = ["galerkin", "harness", "linalg", "model", "oned", "trialspace"]
+ONED_RUNS = [["oned", "--m", str(m), "--bc", bc, "--count", "8", *fmt]
+             for m in (1, 2, 3) for bc in ("dirichlet", "neumann")
+             for fmt in (["--stable-output"], ["--format", "csv"])]
 
 
 @pytest.mark.parametrize("argv, layers_run", [
@@ -374,19 +377,39 @@ ALL_LAYERS = ["galerkin", "harness", "linalg", "model", "oned", "trialspace"]
     (["verify", "interpolation", "--m", "2", "--count", "5"], ALL_LAYERS),
     (["verify", "chain", "--m", "2", "--n", "12", "--k-max", "3"], ALL_LAYERS),
 ], ids=["oned", "spectrum2d", "interpolation", "chain"])
-def test_commands_do_not_load_scipy(argv, layers_run):
-    # a layer that has not run yet keeps the lazy loader's module subclass
+def test_commands_do_not_load_scipy(capsys, argv, layers_run):
+    # a layer that has not run yet keeps the lazy loader's module subclass;
+    # oned runs on the standard library alone, so it does not load numpy either
+    numpy_free = argv[0] == "oned"
     code = ("import sys, types\n"
             "from phlab.cli import main\n"
             f"assert main({argv!r} + ['--stable-output', '--out', {os.devnull!r}]) == 0\n"
             "assert 'scipy' not in sys.modules\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
-            f"print([n for n in {ALL_LAYERS!r}\n"
+            + ("assert 'numpy' not in sys.modules\n" if numpy_free else "")
+            + f"print([n for n in {ALL_LAYERS!r}\n"
             "       if type(sys.modules['phlab.' + n]) is types.ModuleType])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr(layers_run)
+    if numpy_free:
+        # with numpy blocked (importing it raises) oned prints the same bytes,
+        # as JSON and as CSV, for every (m, bc)
+        blocked = ("import sys\n"
+                   "sys.modules['numpy'] = None\n"
+                   "from phlab.cli import main\n"
+                   f"for argv in {ONED_RUNS!r}:\n"
+                   "    assert main(argv) == 0\n")
+        proc = subprocess.run([sys.executable, "-c", blocked], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        expected = []
+        for run in ONED_RUNS:
+            code, out, _ = run_cli(capsys, *run)
+            assert code == 0
+            expected.append(out)
+        assert proc.stdout == "".join(expected)
 
 
 def test_package_import_registers_layers_without_running_them():

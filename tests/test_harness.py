@@ -92,7 +92,7 @@ def test_theorem_claim_rhs_is_exact_power_on_rectangle(claim):
         nu = square_laplacian_eigs(BC_DIRICHLET, k_max, 1.0, 0.5)
         mu = galerkin.solve_2d_spectrum(m, BC_NEUMANN, n, dom, k_max + shift).values
         assert [r.rhs for r in rep.details] == [float(v) ** m for v in nu]
-        assert [r.lhs for r in rep.details] == mu[shift:].tolist()
+        assert [r.lhs for r in rep.details] == list(mu[shift:])
         assert rep.passed and rep.config_echo["tol_zero"] == cfg.tol.tol_zero
 
 

@@ -15,6 +15,10 @@ BEAM_BETAS = np.array([
     14.137165491257463, 17.278759657399483, 20.420352245626063,
     23.561944902040452, 26.703537555508184,
 ])
+# first five clamped eigenvalues at m=3 on (0, 1), frozen from the numpy
+# implementation that scanned a grid of spacing 0.02 pi
+M3_CLAMPED = [61528.90838881926, 701869.5528344786, 3937850.1368849403,
+              15021649.405508067, 44854574.21545508]
 
 
 def test_characteristic_roots_power_identity():
@@ -22,7 +26,7 @@ def test_characteristic_roots_power_identity():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3):
         for lam in rng.uniform(1.0, 1e4, size=4):
-            roots = characteristic_roots(m, lam)
+            roots = np.asarray(characteristic_roots(m, lam))
             assert roots.shape == (2 * m,)
             npt.assert_allclose(roots ** (2 * m), (-1.0) ** m * lam,
                                 rtol=1e-10, atol=1e-10 * lam)
@@ -39,7 +43,7 @@ def test_characteristic_roots_hand_case_m2():
 def test_characteristic_roots_real_count_by_parity():
     # odd m: no purely real root; even m: exactly two
     for m, expect in ((1, 0), (2, 2), (3, 0)):
-        roots = characteristic_roots(m, 123.456)
+        roots = np.asarray(characteristic_roots(m, 123.456))
         n_real = int(np.sum(np.abs(roots.imag) < 1e-9 * np.abs(roots).max()))
         assert n_real == expect
 
@@ -49,13 +53,14 @@ def test_real_solution_basis_solves_ode():
     # each derivative order matches a central difference of the one below
     h = 1e-5
     for m, lam in ((1, 30.0), (2, 700.0), (3, 5e4)):
-        D = solution_derivatives(m, lam, np.arange(2 * m + 1), [0.37 - h, 0.37, 0.37 + h])
+        D = np.asarray(solution_derivatives(m, lam, np.arange(2 * m + 1),
+                                            [0.37 - h, 0.37, 0.37 + h]))
         assert D.shape == (2 * m + 1, 3, 2 * m)
         npt.assert_allclose(D[2 * m, 1], (-1.0) ** m * lam * D[0, 1], rtol=1e-12, atol=1e-12)
         scale = np.abs(D[:, 1]).max(axis=1, keepdims=True)
         npt.assert_allclose((D[:-1, 2] - D[:-1, 0]) / (2 * h) / scale[1:],
                             D[1:, 1] / scale[1:], atol=1e-7)
-    # a stack of lam gives the same table as separate calls
+    # a sequence of lam gives the same tables as separate calls
     lams = np.array([30.0, 700.0])
     npt.assert_array_equal(solution_derivatives(2, lams, [1, 3], [0.0, 0.6])[1],
                            solution_derivatives(2, 700.0, [1, 3], [0.0, 0.6]))
@@ -75,18 +80,21 @@ def test_det_indicator_sign_change_at_root():
     assert s_lo * s_hi == -1
 
 
-def test_det_indicator_stack_matches_scalar_calls():
+def test_det_indicator_stack_matches_scalar_calls(monkeypatch):
+    # a sequence longer than SCAN_BLOCK is evaluated one block at a time
+    monkeypatch.setattr(oned, "SCAN_BLOCK", 3)
     for m in (1, 2, 3):
         for bc in (BC_DIRICHLET, BC_NEUMANN):
             lams = np.linspace(1.0, 60.0, 7) ** (2 * m)
             signs, logs = det_indicator(m, lams, bc)
-            assert signs.shape == logs.shape == lams.shape
+            assert np.shape(signs) == np.shape(logs) == lams.shape
             for lam, s, lg in zip(lams, signs, logs):
                 s1, lg1 = det_indicator(m, float(lam), bc)
                 assert isinstance(s1, int) and isinstance(lg1, float)
                 assert s == s1 and lg == lg1
-            stacked = boundary_matrix(m, lams.reshape(7, 1), bc)
-            assert stacked.shape == (7, 1, 2 * m, 2 * m)
+            stacked = boundary_matrix(m, lams, bc)
+            assert np.shape(stacked) == (7, 2 * m, 2 * m)
+            assert stacked[3] == boundary_matrix(m, float(lams[3]), bc)
 
 
 def test_positive_roots_laplace_exact():
@@ -102,28 +110,40 @@ def test_positive_roots_beam_oracle():
     npt.assert_allclose(lam, BEAM_BETAS ** 4, rtol=1e-11)
 
 
-def test_sixty_roots_coincide_and_follow_asymptote():
-    # beta_k / pi -> k + (m-1)/2, exponentially fast for m >= 2
-    k = np.arange(1, 61)
-    for m in (1, 2, 3):
-        lam_d = positive_roots(m, BC_DIRICHLET, 60)
-        lam_n = positive_roots(m, BC_NEUMANN, 60)
-        npt.assert_allclose(lam_n, lam_d, rtol=1e-9)
-        dev = np.abs(lam_d ** (1.0 / (2 * m)) / np.pi - (k + 0.5 * (m - 1)))
-        assert dev.max() < 1e-2
-        assert dev[9:].max() < 1e-10
+def test_three_hundred_roots_coincide_and_follow_asymptote(monkeypatch):
+    # beta_k length / pi -> k + (m-1)/2, exponentially fast for m >= 2.  The
+    # scan brackets each root between grid points SCAN_STEP pi / length apart,
+    # so no root is lost while consecutive roots sit 3.9 steps apart or more.
+    assert 0.99 >= 3.9 * oned.SCAN_STEP
+    k = np.arange(1, 301)
+    for length in (1.0, 1e3):
+        for m in (1, 2, 3):
+            lam_d = np.asarray(positive_roots(m, BC_DIRICHLET, 300, length))
+            lam_n = np.asarray(positive_roots(m, BC_NEUMANN, 300, length))
+            npt.assert_allclose(lam_n, lam_d, rtol=1e-9)
+            for lam in (lam_d, lam_n):
+                beta = lam ** (1.0 / (2 * m)) * length / np.pi
+                assert np.diff(beta).min() >= 0.99
+                dev = np.abs(beta - (k + 0.5 * (m - 1)))
+                assert dev.max() < 1e-2
+                assert dev[9:].max() < 1e-10
+    npt.assert_allclose(positive_roots(3, BC_DIRICHLET, 5), M3_CLAMPED, rtol=1e-12)
+    # a scan over many blocks walks the same grid and finds the same roots
+    one_block = positive_roots(2, BC_NEUMANN, 300)
+    monkeypatch.setattr(oned, "SCAN_BLOCK", 64)
+    assert positive_roots(2, BC_NEUMANN, 300) == one_block
 
 
 @pytest.mark.parametrize("length", [1.0, 1e-3, 1e3])
 def test_root_refinement_takes_few_stacked_steps(monkeypatch, length):
     # one scan call covers every count here; a bisection of its brackets
     # (width one scan step) halves until the lam-width meets tol_root at the
-    # first root, about log2(2m step / (tol_root beta_1)) times, 36 here
+    # first root, about log2(2m step / (tol_root beta_1)) times, 40 here
     calls = []
     indicator = oned.det_indicator
     monkeypatch.setattr(oned, "det_indicator", lambda *a: calls.append(a) or indicator(*a))
     tol_root = ToleranceConfig().tol_root
-    step = 0.02 * np.pi / length
+    step = oned.SCAN_STEP * np.pi / length
     for m in (1, 2, 3):
         for bc in (BC_DIRICHLET, BC_NEUMANN):
             for count in (2, 10, 60):
@@ -152,23 +172,23 @@ def test_interval_scaling_law():
         base = positive_roots(m, BC_DIRICHLET, 3, length=1.0)
         for L in (0.5, 2.0):
             scaled = positive_roots(m, BC_DIRICHLET, 3, length=L)
-            npt.assert_allclose(scaled, base / L ** (2 * m), rtol=1e-9)
+            npt.assert_allclose(scaled, np.asarray(base) / L ** (2 * m), rtol=1e-9)
 
 
 def test_spectrum_zero_modes_free():
     s = solve_1d_spectrum(3, BC_NEUMANN, 5)
     assert list(s.values[:3]) == [0.0, 0.0, 0.0]
     assert s.zero_count == 3
-    assert np.all(s.values[3:] > 0.0)
+    assert np.all(np.asarray(s.values[3:]) > 0.0)
     assert s.trusted_count == 5
     # clamped spectrum has no zero block
     d = solve_1d_spectrum(3, BC_DIRICHLET, 2)
-    assert np.all(d.values > 0.0)
+    assert np.all(np.asarray(d.values) > 0.0)
 
 
 def test_spectrum_count_shorter_than_zero_block():
     s = solve_1d_spectrum(2, BC_NEUMANN, 1)
-    assert s.values.shape == (1,) and s.values[0] == 0.0
+    assert np.asarray(s.values).shape == (1,) and s.values[0] == 0.0
 
 
 def _cfg(**kv):
