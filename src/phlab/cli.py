@@ -1,7 +1,8 @@
 """Command-line front end: configuration, solver runs, claim verification.
 
 Exit codes: 0 all checks passed, 1 a verification claim failed, 2 usage or
-configuration error, 3 numerical failure, I/O error or exhausted memory.
+configuration error or a missing required package (numpy), 3 numerical
+failure, I/O error or exhausted memory.
 Every failure also writes a single-line JSON object {"error": ...,
 "exit_code": ...} to stderr.
 
@@ -16,10 +17,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Optional
 
 from . import galerkin, harness, oned
 from .model import (BC_DIRICHLET, BC_NEUMANN, CONFIG_DEFAULTS, CapabilityError, Domain,
@@ -109,14 +108,14 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 def config_as_json(cfg: RunConfig) -> dict:
     """The resolved configuration as one flat dict, tolerances inlined."""
-    out = asdict(cfg)
-    out.update(out.pop("tol"))
+    out = cfg._asdict()
+    out.update(out.pop("tol")._asdict())
     return out
 
 
 # --- serialization ----------------------------------------------------------
 
-def _scalar17(obj) -> Optional[str]:
+def _scalar17(obj) -> str | None:
     """JSON text of a finite float, None, a bool, an int or a str; None for anything else."""
     if isinstance(obj, float):
         v = float(obj)
@@ -138,7 +137,9 @@ def dumps17(obj, indent: int = 0) -> str:
     """JSON text with dict keys sorted and floats at 17 significant digits.
 
     A list or a dict is written as one join of its entries' texts; only an
-    entry that is itself a list or a dict takes a recursive call.
+    entry that is itself a list or a dict takes a recursive call.  A plain
+    tuple is written as a list, but a named tuple, such as a model record, is
+    refused rather than written as a list of its fields.
     """
     text = _scalar17(obj)
     if text is not None:
@@ -152,7 +153,7 @@ def dumps17(obj, indent: int = 0) -> str:
                 f"{_scalar17(obj[k]) or dumps17(obj[k], indent + 1)}"
                 for k in sorted(obj, key=str)]
         return f"{{\n{pad1}{sep.join(rows)}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):
         if not obj:
             return "[]"
         rows = [_scalar17(v) or dumps17(v, indent + 1) for v in obj]
@@ -171,7 +172,7 @@ def _badge(passed: bool) -> str:
     return "**PASS**" if passed else "**FAIL**"
 
 
-def markdown_report(reports, cfg: RunConfig, runtime_ms: Optional[int]) -> str:
+def markdown_report(reports, cfg: RunConfig, runtime_ms: int | None) -> str:
     out = ["# verification report", ""]
     out.append("| claim | result | margin |")
     out.append("| --- | --- | --- |")
@@ -263,7 +264,7 @@ def _report_command(ns, cfg: RunConfig, t0: float) -> tuple[str, bool]:
     return dumps17(payload) + "\n", passed
 
 
-def _deliver(text: str, out_path: Optional[str]) -> None:
+def _deliver(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -271,7 +272,7 @@ def _deliver(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         ns = _build_parser().parse_args(argv)
@@ -286,6 +287,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if passed else 1
     except (InvalidArgumentError, CapabilityError) as exc:
         return _fail(str(exc), 2)
+    except ModuleNotFoundError as exc:  # numpy, which every command but oned needs
+        return _fail(f"this command needs the {exc.name} package, which is not installed", 2)
     except (NumericalError, OSError) as exc:
         return _fail(str(exc), 3)
     except MemoryError as exc:

@@ -32,7 +32,7 @@ the spectra are merged in a fixed order inside clusters of equal values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, floor, log, log1p, perm, pi
 
@@ -98,8 +98,7 @@ PARITY_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
 CLUSTER_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PencilBlock:
+class PencilBlock(namedtuple("PencilBlock", "index matrix back_x back_y")):
     """One parity block, reduced to a standard symmetric eigenproblem.
 
     index holds the flat indices i1 * n + i2 of the block's shapes.  The
@@ -182,16 +181,11 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBloc
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class _SolvedBlock:
+class _SolvedBlock(namedtuple("_SolvedBlock", "index back_x back_y w Y")):
     """What a later solve of the same pencil needs from one parity block:
     its flat indices, back-transforms and standard eigenpairs (w, Y)."""
 
-    index: np.ndarray
-    back_x: np.ndarray
-    back_y: np.ndarray
-    w: np.ndarray
-    Y: np.ndarray
+    __slots__ = ()
 
 
 @lru_cache(maxsize=16)
@@ -216,12 +210,13 @@ def trusted_capacity(n: int) -> int:
     return floor(0.7 * n * n)
 
 
-@dataclass(frozen=True)
-class Eigensystem2D:
-    """Spectrum plus mass-orthonormal eigenvectors in the assembly basis."""
+class Eigensystem2D(namedtuple("Eigensystem2D", "spectrum vectors")):
+    """Spectrum plus mass-orthonormal eigenvectors in the assembly basis.
 
-    spectrum: Spectrum
-    vectors: np.ndarray  # (n*n, count), column k pairs with spectrum.values[k]
+    vectors has shape (n*n, count); column k pairs with spectrum.values[k].
+    """
+
+    __slots__ = ()
 
 
 def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectangle(),
@@ -264,7 +259,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     probe_len = min(max(count, z + 1), w.size)
     full = make_spectrum(m, bc, domain, MethodInfo("Galerkin2D", n_per_axis=n),
                          w[:probe_len], tol=tol)
-    spectrum = replace(full, values=full.values[:count])
+    spectrum = full._replace(values=full.values[:count])
     return Eigensystem2D(spectrum=spectrum, vectors=V)
 
 

@@ -18,9 +18,7 @@ into a single report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, isfinite, pi, sqrt
-from typing import Callable
 
 import numpy as np
 
@@ -437,11 +435,17 @@ def claim_vandermonde(cfg: RunConfig) -> VerificationReport:
 # claim registry and suite
 
 
-@dataclass(frozen=True)
 class ClaimSpec:
-    claim_id: str
-    statement: str
-    build: Callable[[RunConfig], VerificationReport]
+    """A registered claim: its id, one-line statement and builder(cfg) -> report.
+
+    A plain slotted class rather than a named tuple, so that build can be
+    rebound, as a tracer that wraps every claim builder does.
+    """
+
+    __slots__ = ("claim_id", "statement", "build")
+
+    def __init__(self, claim_id: str, statement: str, build) -> None:
+        self.claim_id, self.statement, self.build = claim_id, statement, build
 
 
 CLAIMS: dict[str, ClaimSpec] = {

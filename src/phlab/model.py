@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from collections import namedtuple
 from math import comb, isfinite
 from numbers import Integral, Real
-from typing import Optional
 
 
 class PhlabError(Exception):
@@ -61,8 +60,14 @@ def n_poly_dim(d: int, m: int) -> int:
     return comb(d + m - 1, d)
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
+# The records below are immutable named tuples; a record that checks its
+# fields does so in __new__, which _replace and _make skip, so neither is used
+# on those types.
+
+
+class ToleranceConfig(namedtuple("ToleranceConfig",
+                                 "tol_zero tol_root tol_identity margin_factor",
+                                 defaults=(1e-6, 1e-12, 1e-9, 5.0))):
     """Numerical tolerances used throughout.
 
     tol_zero      relative threshold for clamping near-zero eigenvalues
@@ -72,12 +77,10 @@ class ToleranceConfig:
                   weak-minmax and conjecture-probe
     """
 
-    tol_zero: float = 1e-6
-    tol_root: float = 1e-12
-    tol_identity: float = 1e-9
-    margin_factor: float = 5.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("tol_zero", "tol_root", "tol_identity"):
             v = getattr(self, name)
             if not (isinstance(v, float) and isfinite(v) and v > 0.0):
@@ -89,17 +92,19 @@ class ToleranceConfig:
             raise InvalidArgumentError(
                 f"margin_factor must be a float >= 1, got {self.margin_factor!r}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class Domain:
-    """An interval (0, lx) or an axis-aligned rectangle (0, lx) x (0, ly)."""
+class Domain(namedtuple("Domain", "shape lx ly", defaults=(None,))):
+    """An interval (0, lx) or an axis-aligned rectangle (0, lx) x (0, ly).
 
-    shape: str  # "interval" or "rectangle"
-    lx: float
-    ly: Optional[float] = None
+    shape is "interval" or "rectangle"; ly is None on an interval.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.shape not in ("interval", "rectangle"):
             raise InvalidArgumentError(f"unknown domain shape {self.shape!r}")
         if not (isfinite(self.lx) and self.lx > 0.0):
@@ -109,6 +114,7 @@ class Domain:
                 raise InvalidArgumentError(f"ly must be positive and finite, got {self.ly!r}")
         elif self.ly is not None:
             raise InvalidArgumentError("interval domains take a single length")
+        return self
 
     @staticmethod
     def interval(length: float = 1.0) -> "Domain":
@@ -128,18 +134,18 @@ class Domain:
         return {"shape": "rectangle", "lx": self.lx, "ly": self.ly}
 
 
-@dataclass(frozen=True)
-class MethodInfo:
-    """How a spectrum was computed."""
+class MethodInfo(namedtuple("MethodInfo", "kind n_per_axis", defaults=(None,))):
+    """How a spectrum was computed: kind "Exact1D" or "Galerkin2D"."""
 
-    kind: str  # "Exact1D" or "Galerkin2D"
-    n_per_axis: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("Exact1D", "Galerkin2D"):
             raise InvalidArgumentError(f"unknown method kind {self.kind!r}")
         if self.kind == "Galerkin2D" and (self.n_per_axis is None or self.n_per_axis < 1):
             raise InvalidArgumentError("Galerkin2D requires n_per_axis >= 1")
+        return self
 
     def as_json(self) -> dict:
         if self.kind == "Exact1D":
@@ -147,22 +153,18 @@ class MethodInfo:
         return {"kind": "Galerkin2D", "n_per_axis": self.n_per_axis}
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(namedtuple("Spectrum", "m bc domain method values tol",
+                          defaults=(ToleranceConfig(),))):
     """Ascending eigenvalues of one boundary-condition problem.
 
     For the natural (free) problem the leading n_poly_dim(d, m) entries are
     exact zeros; everything else is strictly positive.  The solvers keep only
     entries accurate enough to compare against other spectra, so every entry
-    is trusted and trusted_count is the number of entries.
+    is trusted and trusted_count is the number of entries.  values is a tuple
+    of floats.
     """
 
-    m: int
-    bc: str
-    domain: Domain
-    method: MethodInfo
-    values: tuple[float, ...]
-    tol: ToleranceConfig = field(default_factory=ToleranceConfig)
+    __slots__ = ()
 
     @property
     def trusted_count(self) -> int:
@@ -189,7 +191,7 @@ class Spectrum:
             "method": self.method.as_json(),
             "eigenvalues": list(self.values),
             "trusted_count": self.trusted_count,
-            "tolerances": asdict(self.tol),
+            "tolerances": self.tol._asdict(),
         }
 
 
@@ -232,23 +234,17 @@ def make_spectrum(m: int, bc: str, domain: Domain, method: MethodInfo,
     return Spectrum(m=m, bc=bc, domain=domain, method=method, values=tuple(vals), tol=tol)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(namedtuple("CheckRecord", "k lhs rhs slack")):
     """One compared pair inside a verification claim; slack >= 0 means ok."""
 
-    k: int
-    lhs: float
-    rhs: float
-    slack: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim_id: str
-    passed: bool
-    details: tuple[CheckRecord, ...]
-    notes: str = ""
-    config_echo: dict = field(default_factory=dict)
+class VerificationReport(namedtuple("VerificationReport",
+                                    "claim_id passed details notes config_echo")):
+    """One claim's outcome: details is a tuple of CheckRecord."""
+
+    __slots__ = ()
 
     @property
     def margin(self) -> float:
@@ -286,26 +282,18 @@ CONFIG_DEFAULTS: dict = {
     "ly": 1.0,
     "seed": 1729,
     "perturb": 0.0,
-    **asdict(ToleranceConfig()),
+    **ToleranceConfig()._asdict(),
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    m: int
-    bc: Optional[str]
-    n: int
-    count: int
-    k_max: int
-    length: float
-    lx: float
-    ly: float
-    seed: int
-    perturb: float
-    tol: ToleranceConfig
+class RunConfig(namedtuple("RunConfig",
+                           "m bc n count k_max length lx ly seed perturb tol")):
+    """A validated configuration, tolerances in tol; bc is None when none was given."""
+
+    __slots__ = ()
 
     def with_overrides(self, **kv) -> "RunConfig":
-        return replace(self, **kv)
+        return self._replace(**kv)
 
 
 def validate_config(*layers: dict) -> RunConfig:
@@ -364,6 +352,6 @@ def validate_config(*layers: dict) -> RunConfig:
     perturb = _float("perturb")
     if not isinstance(perturb, float) or not isfinite(perturb) or perturb < 0.0:
         raise InvalidArgumentError(f"perturb must be a nonnegative finite number, got {cfg['perturb']!r}")
-    tol = ToleranceConfig(**{name: _float(name) for name in asdict(ToleranceConfig())})
+    tol = ToleranceConfig(**{name: _float(name) for name in ToleranceConfig._fields})
     return RunConfig(m=m, bc=bc, n=n, count=count, k_max=k_max,
                      length=length, lx=lx, ly=ly, seed=seed, perturb=perturb, tol=tol)

@@ -187,12 +187,12 @@ def positive_roots(m: int, bc: str, count: int, length: float = 1.0,
     """First `count` lam > 0 where the boundary determinant vanishes.
 
     The sign is scanned on the beta grid of spacing SCAN_STEP pi / length,
-    in blocks of SCAN_BLOCK points up to the block holding the count-th
-    root; a grid point with sign 0 is a root, and each sign change between
-    neighbours is a bracket.  All brackets are then refined together until
-    each meets tol_root, one stacked determinant call per step.  A step
-    evaluates three points inside each bracket and keeps the part between
-    the first sign change:
+    first up to one step past (count + m) pi / length, then, if the count-th
+    root is not bracketed yet, in blocks up to beta_max; a grid point with
+    sign 0 is a root, and each sign change between neighbours is a bracket.
+    All brackets are then refined together until each meets tol_root, one
+    stacked determinant call per step.  A step evaluates three points inside
+    each bracket and keeps the part between the first sign change:
       - the regula falsi estimate, the zero of the chord through the bracket
         ends on f = sign * exp(logmag);
       - a guard a quarter of tol_root (relative in lam) past the estimate
@@ -226,11 +226,13 @@ def positive_roots(m: int, bc: str, count: int, length: float = 1.0,
         return det_indicator(m, [b ** two_m for b in beta], bc, length)
 
     # the grid is the running sum of step; each block is scanned together with
-    # the last point of the one before, and a small count evaluates little
-    # more than the grid up to beta_max
+    # the last point of the one before.  The first block ends one step past
+    # (count + m) pi / length, just past the count-th root; a later block, if
+    # one is needed, spans the grid up to beta_max
     block = min(SCAN_BLOCK, int(beta_max / step) + 1)
     brackets: list[tuple] = []
-    beta, s, g, b, fresh = [], [], [], 0.0, block + 1
+    beta, s, g, b = [], [], [], 0.0
+    fresh = min(SCAN_BLOCK, int((count + m) / SCAN_STEP) + 1) + 1
     while True:
         new = []
         for _ in range(fresh):

@@ -31,7 +31,7 @@ Complex arithmetic stays inside this module and the Hermitian pencil solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product as iter_product
 from math import ceil, comb
 
@@ -158,8 +158,8 @@ def _normalized_gram_min_sv(M: np.ndarray) -> float:
     return float(np.linalg.svd(M / np.outer(d, d), compute_uv=False)[-1])
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(namedtuple("ChainCertificate",
+                                  "lambda_hat omega max_rayleigh gram_min_sv")):
     """Outcome of the discrete chain bound on W = span(u_1..u_k) + V_omega.
 
     max_rayleigh is the largest generalized eigenvalue of the order-m
@@ -167,10 +167,7 @@ class ChainCertificate:
     gram_min_sv documents that W is genuinely (k+m)-dimensional.
     """
 
-    lambda_hat: float
-    omega: np.ndarray
-    max_rayleigh: float
-    gram_min_sv: float
+    __slots__ = ()
 
 
 def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:

@@ -9,8 +9,8 @@ import pytest
 
 from phlab import cli, galerkin, harness, oned
 from phlab.harness import CLAIMS
-from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, Domain, InvalidArgumentError,
-                         MethodInfo, Spectrum, validate_config)
+from phlab.model import (BC_DIRICHLET, CONFIG_DEFAULTS, CheckRecord, Domain,
+                         InvalidArgumentError, MethodInfo, Spectrum, validate_config)
 from phlab.oned import positive_roots
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -45,6 +45,11 @@ def test_json17_rejects_non_finite():
     from phlab.model import NumericalError
     with pytest.raises(NumericalError):
         cli.dumps17(float("inf"))
+    # a model record is a named tuple, but never written as a JSON list
+    for record in (CheckRecord(1, 2.0, 3.0, 1.0), Domain.rectangle(),
+                   validate_config(dict(CONFIG_DEFAULTS))):
+        with pytest.raises(InvalidArgumentError):
+            cli.dumps17(record)
 
 
 def test_config_json_keys_match_defaults():
@@ -379,18 +384,24 @@ ONED_RUNS = [["oned", "--m", str(m), "--bc", bc, "--count", "8", *fmt]
 ], ids=["oned", "spectrum2d", "interpolation", "chain"])
 def test_commands_do_not_load_scipy(capsys, argv, layers_run):
     # a layer that has not run yet keeps the lazy loader's module subclass;
-    # oned runs on the standard library alone, so it does not load numpy either
+    # oned runs on the standard library alone, so it does not load numpy
+    # either.  It runs under -S, so that no .pth hook of site-packages loads
+    # modules first, and its records load neither dataclasses nor typing.
     numpy_free = argv[0] == "oned"
     code = ("import sys, types\n"
             "from phlab.cli import main\n"
             f"assert main({argv!r} + ['--stable-output', '--out', {os.devnull!r}]) == 0\n"
             "assert 'scipy' not in sys.modules\n"
             "assert 'numpy.polynomial' not in sys.modules\n"
-            + ("assert 'numpy' not in sys.modules\n" if numpy_free else "")
+            "assert 'dataclasses' not in sys.modules\n"
+            + ("for name in ('numpy', 'inspect', 'typing'):\n"
+               "    assert name not in sys.modules, name\n" if numpy_free else "")
             + f"print([n for n in {ALL_LAYERS!r}\n"
             "       if type(sys.modules['phlab.' + n]) is types.ModuleType])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    flags = ["-S"] if numpy_free else []
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr(layers_run)
     if numpy_free:
@@ -410,6 +421,24 @@ def test_commands_do_not_load_scipy(capsys, argv, layers_run):
             assert code == 0
             expected.append(out)
         assert proc.stdout == "".join(expected)
+
+
+@pytest.mark.parametrize("argv", [["spectrum2d", "--m", "1", "--bc", "dirichlet"],
+                                  ["verify", "chain"], ["all"]],
+                         ids=["spectrum2d", "chain", "all"])
+def test_missing_numpy_exits_2_with_one_json_line(argv):
+    # importing numpy raises; oned, which needs no numpy, is covered above
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from phlab.cli import main\n"
+            f"sys.exit(main({argv!r} + ['--stable-output', '--out', {os.devnull!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    doc = json.loads(lines[0])
+    assert doc["exit_code"] == 2 and "numpy" in doc["error"]
 
 
 def test_package_import_registers_layers_without_running_them():

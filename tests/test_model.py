@@ -37,6 +37,11 @@ def test_domain_shapes():
     assert rect.as_json() == {"shape": "rectangle", "lx": 1.0, "ly": 3.0}
     with pytest.raises(InvalidArgumentError):
         Domain.rectangle(-1.0, 1.0)
+    # records are immutable and hash by value, which the solve cache keys on
+    with pytest.raises(AttributeError):
+        rect.lx = 2.0
+    assert Domain.rectangle(1.0, 3.0) == rect
+    assert hash(Domain.rectangle(1.0, 3.0)) == hash(rect)
 
 
 def test_tolerance_validation():

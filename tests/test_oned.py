@@ -136,9 +136,10 @@ def test_three_hundred_roots_coincide_and_follow_asymptote(monkeypatch):
 
 @pytest.mark.parametrize("length", [1.0, 1e-3, 1e3])
 def test_root_refinement_takes_few_stacked_steps(monkeypatch, length):
-    # one scan call covers every count here; a bisection of its brackets
-    # (width one scan step) halves until the lam-width meets tol_root at the
-    # first root, about log2(2m step / (tol_root beta_1)) times, 40 here
+    # one scan call covers every count here, and it ends one step past
+    # (count + m) pi / length; a bisection of its brackets (width one scan
+    # step) halves until the lam-width meets tol_root at the first root,
+    # about log2(2m step / (tol_root beta_1)) times, 40 here
     calls = []
     indicator = oned.det_indicator
     monkeypatch.setattr(oned, "det_indicator", lambda *a: calls.append(a) or indicator(*a))
@@ -149,6 +150,7 @@ def test_root_refinement_takes_few_stacked_steps(monkeypatch, length):
             for count in (2, 10, 60):
                 calls.clear()
                 lam = positive_roots(m, bc, count, length)
+                assert len(calls[0][1]) <= int((count + m) / oned.SCAN_STEP) + 2
                 beta_1 = lam[0] ** (1.0 / (2 * m))
                 bisection = 1 + np.ceil(np.log2(2 * m * step / (tol_root * beta_1)))
                 assert len(calls) <= bisection
