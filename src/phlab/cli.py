@@ -279,6 +279,8 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command is None:
             raise InvalidArgumentError("missing command; try 'phlab --help'")
         cfg = _resolve_config(ns)
+        if ns.command != "oned":  # a failed plain import leaves no layer half run
+            __import__("numpy")
         if ns.command in ("oned", "spectrum2d"):
             text, passed = _spectrum_command(ns, cfg, t0)
         else:

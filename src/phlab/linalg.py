@@ -98,21 +98,6 @@ def legendre_derivatives(num: int, t: np.ndarray, max_deriv: int) -> np.ndarray:
     return out
 
 
-def force_hermitian(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Hermitian part of M, after checking the deviation is roundoff-sized.
-
-    Real input stays real (and comes back symmetric), complex input stays
-    complex.
-    """
-    M = np.asarray(M)
-    H = M.conj().T
-    scale = np.max(np.abs(M), initial=0.0)
-    asym = np.max(np.abs(M - H), initial=0.0)
-    if scale > 0.0 and asym > rel_tol * scale:
-        raise NumericalError(f"matrix deviation from Hermitian {asym:.3e} exceeds {rel_tol:.1e} * scale")
-    return 0.5 * (M + H)
-
-
 MAX_PENCIL_DIM = 2500
 
 
@@ -153,27 +138,3 @@ def hermitian_eig(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(C)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolve failed: {exc}") from exc
-
-
-def solve_gen_eig(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A v = w B v for Hermitian A and Hermitian positive definite B.
-
-    Real symmetric input gives real eigenvectors and complex Hermitian input
-    complex ones.  With the whitener T of B (see mass_whitener), the pencil
-    becomes the standard problem (T A T^H) y = w y, and v = T^H y.
-
-    Returns
-    -------
-    w : ndarray
-        Eigenvalues in ascending order.
-    V : ndarray
-        Columns are eigenvectors, B-orthonormal: V^H @ B @ V = I.
-    """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidArgumentError("solve_gen_eig expects two square matrices of equal shape")
-    check_pencil_dim(A.shape[0])
-    T = mass_whitener(B)
-    w, Y = hermitian_eig(T @ A @ T.conj().T)
-    return w, T.conj().T @ Y

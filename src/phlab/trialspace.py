@@ -26,7 +26,7 @@ bc, n and the domain are read from the eigensystem's spectrum.
 
 All derivatives in this module are closed-form; numerical differentiation is
 deliberately absent so identity residuals measure rounding, not truncation.
-Complex arithmetic stays inside this module and the Hermitian pencil solver.
+Complex arithmetic stays inside this module and linalg's Hermitian kernels.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from math import ceil, comb
 import numpy as np
 
 from .galerkin import Eigensystem2D, shape_table
-from .linalg import MAX_GAUSS_NODES, force_hermitian, gauss_legendre, solve_gen_eig
+from .linalg import MAX_GAUSS_NODES, gauss_legendre, hermitian_eig, mass_whitener
 from .model import (BC_DIRICHLET, CapabilityError, GramDegeneracyError, InvalidArgumentError,
                     NumericalError)
 
@@ -150,6 +150,16 @@ def _chain_form(C: np.ndarray, x: tuple, y: tuple, beta: np.ndarray,
     return np.block([[uu, uw], [uw.conj().T, ww]])
 
 
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """Hermitian part of a form, after checking its deviation is roundoff-sized."""
+    H = M.conj().T
+    scale = np.max(np.abs(M), initial=0.0)
+    asym = np.max(np.abs(M - H), initial=0.0)
+    if scale > 0.0 and asym > 1e-12 * scale:
+        raise NumericalError(f"matrix deviation from Hermitian {asym:.3e} exceeds 1.0e-12 * scale")
+    return 0.5 * (M + H)
+
+
 def _normalized_gram_min_sv(M: np.ndarray) -> float:
     """Smallest singular value of the Gram M of the L2-normalized basis."""
     d = np.sqrt(np.abs(np.real(np.diag(M))))
@@ -184,9 +194,11 @@ def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
     space, so all stiffness cross terms are plain integrals of order-m
     gradient contractions; no boundary terms arise.  Both forms are sums over
     a tensor Gauss rule and are assembled by axis (see _chain_form), which
-    equals the sum over the 2d grid in exact arithmetic.  They are Hermitian
-    and solved with the dense Hermitian pencil solver; the certificate
-    records the largest eigenvalue and the combined basis conditioning.
+    equals the sum over the 2d grid in exact arithmetic.  Both are checked
+    Hermitian to rounding and replaced by their Hermitian parts; the
+    whitener T of the mass (see linalg.mass_whitener) turns the pencil into
+    the standard problem T S T^H, whose largest eigenvalue the certificate
+    records with the combined basis conditioning.
     A rule past MAX_GAUSS_NODES, which a long thin rectangle needs at large
     lambda_hat_k, is refused with CapabilityError before any table is built.
     """
@@ -224,6 +236,8 @@ def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
     c = (omega[0] ** a * omega[1] ** (m - a))[:, None] * (1j * xi) ** m
     beta = np.array([comb(m, b) for b in a], dtype=float)
     S = _chain_form(C, x, y, beta, c)
-    w, _ = solve_gen_eig(force_hermitian(S), force_hermitian(M))
+    S, M = _hermitian_part(S), _hermitian_part(M)
+    T = mass_whitener(M)
+    w, _ = hermitian_eig(T @ S @ T.conj().T)
     return ChainCertificate(lambda_hat=lambda_hat, omega=omega, max_rayleigh=float(w[-1]),
                             gram_min_sv=gram_min_sv)

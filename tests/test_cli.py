@@ -441,6 +441,26 @@ def test_missing_numpy_exits_2_with_one_json_line(argv):
     assert doc["exit_code"] == 2 and "numpy" in doc["error"]
 
 
+def test_missing_numpy_leaves_no_layer_half_run():
+    # a command that needs numpy fails before it runs any layer, so the next
+    # command in the same interpreter fails the same way, and oned still runs
+    runs = [["verify", "chain"], ["all"], ["spectrum2d", "--m", "1", "--bc", "dirichlet"],
+            ["oned", "--m", "1", "--bc", "dirichlet", "--count", "2"]]
+    code = ("import os, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from phlab.cli import main\n"
+            f"print([main(argv + ['--stable-output', '--out', os.devnull]) for argv in {runs!r}])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[2, 2, 2, 0]"
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 3, proc.stderr
+    for line in lines:
+        doc = json.loads(line)
+        assert doc["exit_code"] == 2 and "numpy" in doc["error"]
+
+
 def test_package_import_registers_layers_without_running_them():
     # perfbench/tracer.py reads each of its LAYERS from sys.modules right
     # after `import phlab.cli`

@@ -60,10 +60,6 @@ def test_real_solution_basis_solves_ode():
         scale = np.abs(D[:, 1]).max(axis=1, keepdims=True)
         npt.assert_allclose((D[:-1, 2] - D[:-1, 0]) / (2 * h) / scale[1:],
                             D[1:, 1] / scale[1:], atol=1e-7)
-    # a sequence of lam gives the same tables as separate calls
-    lams = np.array([30.0, 700.0])
-    npt.assert_array_equal(solution_derivatives(2, lams, [1, 3], [0.0, 0.6])[1],
-                           solution_derivatives(2, 700.0, [1, 3], [0.0, 0.6]))
 
 
 def test_boundary_matrix_laplace_dirichlet():
@@ -80,23 +76,6 @@ def test_det_indicator_sign_change_at_root():
     assert s_lo * s_hi == -1
 
 
-def test_det_indicator_stack_matches_scalar_calls(monkeypatch):
-    # a sequence longer than SCAN_BLOCK is evaluated one block at a time
-    monkeypatch.setattr(oned, "SCAN_BLOCK", 3)
-    for m in (1, 2, 3):
-        for bc in (BC_DIRICHLET, BC_NEUMANN):
-            lams = np.linspace(1.0, 60.0, 7) ** (2 * m)
-            signs, logs = det_indicator(m, lams, bc)
-            assert np.shape(signs) == np.shape(logs) == lams.shape
-            for lam, s, lg in zip(lams, signs, logs):
-                s1, lg1 = det_indicator(m, float(lam), bc)
-                assert isinstance(s1, int) and isinstance(lg1, float)
-                assert s == s1 and lg == lg1
-            stacked = boundary_matrix(m, lams, bc)
-            assert np.shape(stacked) == (7, 2 * m, 2 * m)
-            assert stacked[3] == boundary_matrix(m, float(lams[3]), bc)
-
-
 def test_positive_roots_laplace_exact():
     k = np.arange(1, 11)
     lam_d = positive_roots(1, BC_DIRICHLET, 10)
@@ -110,7 +89,7 @@ def test_positive_roots_beam_oracle():
     npt.assert_allclose(lam, BEAM_BETAS ** 4, rtol=1e-11)
 
 
-def test_three_hundred_roots_coincide_and_follow_asymptote(monkeypatch):
+def test_three_hundred_roots_coincide_and_follow_asymptote():
     # beta_k length / pi -> k + (m-1)/2, exponentially fast for m >= 2.  The
     # scan brackets each root between grid points SCAN_STEP pi / length apart,
     # so no root is lost while consecutive roots sit 3.9 steps apart or more.
@@ -128,34 +107,64 @@ def test_three_hundred_roots_coincide_and_follow_asymptote(monkeypatch):
                 assert dev.max() < 1e-2
                 assert dev[9:].max() < 1e-10
     npt.assert_allclose(positive_roots(3, BC_DIRICHLET, 5), M3_CLAMPED, rtol=1e-12)
-    # a scan over many blocks walks the same grid and finds the same roots
-    one_block = positive_roots(2, BC_NEUMANN, 300)
-    monkeypatch.setattr(oned, "SCAN_BLOCK", 64)
-    assert positive_roots(2, BC_NEUMANN, 300) == one_block
+
+
+def _record_evaluations(monkeypatch) -> list:
+    """The beta of every determinant evaluation positive_roots makes, in order."""
+    betas = []
+    indicator = oned.det_indicator
+
+    def recorded(m, lam, *args):
+        betas.append(lam ** (1.0 / (2 * m)))
+        return indicator(m, lam, *args)
+
+    monkeypatch.setattr(oned, "det_indicator", recorded)
+    return betas
+
+
+def test_scan_stops_at_the_last_bracket(monkeypatch):
+    # the grid point that closes the count-th bracket is the last one
+    # evaluated: nothing past it, at most one step past the count-th root.
+    # At m=3, count 2, that is grid point 13; a scan of a fixed
+    # int((count + m) / SCAN_STEP) + 2 points would go on to point 22
+    betas = _record_evaluations(monkeypatch)
+    for length in (1.0, 1e-3):
+        step = oned.SCAN_STEP * np.pi / length
+        for m, bc, count in ((3, BC_DIRICHLET, 2), (3, BC_NEUMANN, 2), (1, BC_DIRICHLET, 1),
+                             (2, BC_NEUMANN, 10), (2, BC_DIRICHLET, 60)):
+            betas.clear()
+            root = positive_roots(m, bc, count, length)[-1] ** (1.0 / (2 * m))
+            assert max(betas) <= root + step * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("length", [1.0, 1e-3, 1e3])
 def test_root_refinement_takes_few_stacked_steps(monkeypatch, length):
-    # one scan call covers every count here, and it ends one step past
-    # (count + m) pi / length; a bisection of its brackets (width one scan
+    # the scan ends at the grid point past the count-th root, within
+    # (count + m) pi / length.  Each refinement step evaluates at most three
+    # points in one bracket, and a bisection of a bracket (width one scan
     # step) halves until the lam-width meets tol_root at the first root,
-    # about log2(2m step / (tol_root beta_1)) times, 40 here
-    calls = []
-    indicator = oned.det_indicator
-    monkeypatch.setattr(oned, "det_indicator", lambda *a: calls.append(a) or indicator(*a))
+    # about log2(2m step / (tol_root beta_1)) times, 40 here.  Every
+    # refinement point lies in the bracket of its root, one step wide,
+    # and roots sit about four steps apart, so the nearest root names it
+    betas = _record_evaluations(monkeypatch)
     tol_root = ToleranceConfig().tol_root
     step = oned.SCAN_STEP * np.pi / length
     for m in (1, 2, 3):
         for bc in (BC_DIRICHLET, BC_NEUMANN):
             for count in (2, 10, 60):
-                calls.clear()
+                betas.clear()
                 lam = positive_roots(m, bc, count, length)
-                assert len(calls[0][1]) <= int((count + m) / oned.SCAN_STEP) + 2
+                scanned = round(max(betas) / step)
+                assert scanned <= int((count + m) / oned.SCAN_STEP) + 2
                 beta_1 = lam[0] ** (1.0 / (2 * m))
                 bisection = 1 + np.ceil(np.log2(2 * m * step / (tol_root * beta_1)))
-                assert len(calls) <= bisection
+                roots = np.asarray(lam) ** (1.0 / (2 * m))
+                refined = np.asarray(betas[scanned:])
+                nearest = np.abs(refined[:, None] - roots[None, :]).argmin(axis=1)
+                per_bracket = np.bincount(nearest, minlength=count)
+                assert per_bracket.max() <= 3 * bisection
                 if length == 1.0:
-                    assert len(calls) <= 16
+                    assert per_bracket.max() <= 3 * 16
 
 
 def test_roots_are_simple():
