@@ -25,9 +25,10 @@ form of the fast diagonalization of Lynch, Rice & Thomas, 1964): each 1d
 mass block is whitened by its own Cholesky factor, whose condition is the
 square root of the 2d one, and the whitened 1d Grams are combined by one
 einsum into one standard symmetric matrix per block.  No n^2-sized stiffness
-or mass matrix is formed.  Each block goes to one symmetric eigensolve, whose
-eigenpairs are kept for later solves of the same pencil in the process, and
-the spectra are merged in a fixed order inside clusters of equal values.
+or mass matrix is formed.  One cached pass forms each block's matrix, hands
+it to one symmetric eigensolve and drops it before the next block, keeping
+only the eigenpairs for later solves of the same pencil in the process; the
+spectra are merged in a fixed order inside clusters of equal values.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from math import comb, floor, log, log1p, perm, pi
 
 import numpy as np
 
-from .linalg import (check_pencil_dim, gauss_legendre, hermitian_eig, legendre_derivatives,
-                     mass_whitener)
+from .linalg import gauss_legendre, hermitian_eig, legendre_derivatives, mass_whitener
 from .model import (BC_NEUMANN, CapabilityError, Domain, InvalidArgumentError, MethodInfo,
                     Spectrum, ToleranceConfig, check_bc, check_order, make_spectrum, n_poly_dim)
 
@@ -93,26 +93,11 @@ def shape_table(bc: str, m: int, n: int, nq: int) -> tuple[np.ndarray, np.ndarra
 
 # block order (x parity, y parity): ee, eo, oe, oo
 PARITY_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# largest n^2 of a pencil: its blocks are dense, solved in O(n^6) time
+MAX_PENCIL_DIM = 2500
 # relative gap below which merged eigenvectors follow block order: far below
 # tol_identity, far above the 5e-13 split of the square's clamped lambda_2 = lambda_3
 CLUSTER_RTOL = 1e-10
-
-
-class PencilBlock(namedtuple("PencilBlock", "index matrix back_x back_y")):
-    """One parity block, reduced to a standard symmetric eigenproblem.
-
-    index holds the flat indices i1 * n + i2 of the block's shapes.  The
-    block pencil (sum_a C(m,a) K^x_a (x) K^y_(m-a), M^x (x) M^y) of physical
-    1d stiffness and mass blocks has the eigenvalues of
-    matrix = sum_a C(m,a) R^x_a (x) R^y_(m-a), with R_a = W K_a W^T for the
-    whitener W of each axis (W M W^T = I, so R_0 = I).  An eigenvector y of
-    matrix gives the mass-orthonormal v = (back_x (x) back_y) y, back = W^T.
-    """
-
-    index: np.ndarray
-    matrix: np.ndarray
-    back_x: np.ndarray
-    back_y: np.ndarray
 
 
 def _reduced_axis(G00: np.ndarray, F: np.ndarray, index: np.ndarray,
@@ -132,16 +117,35 @@ def _reduced_axis(G00: np.ndarray, F: np.ndarray, index: np.ndarray,
     return np.array(R), np.sqrt(s) * T.T
 
 
-def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBlock, ...]:
-    """The tensor-product pencil as four reduced parity blocks, in PARITY_BLOCKS order.
+class _SolvedBlock(namedtuple("_SolvedBlock", "index back_x back_y w Y")):
+    """One parity block, solved as a standard symmetric eigenproblem.
+
+    index holds the flat indices i1 * n + i2 of the block's shapes.  The
+    block pencil (sum_a C(m,a) K^x_a (x) K^y_(m-a), M^x (x) M^y) of physical
+    1d stiffness and mass blocks has the eigenvalues w of
+    C = sum_a C(m,a) R^x_a (x) R^y_(m-a), with R_a = W K_a W^T for the
+    whitener W of each axis (W M W^T = I, so R_0 = I).  A column y of the
+    eigenvectors Y of C gives the mass-orthonormal
+    v = (back_x (x) back_y) y, back = W^T.
+    """
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=16)
+def _solved_blocks(m: int, bc: str, n: int, domain: Domain) -> tuple[_SolvedBlock, ...]:
+    """The four parity blocks of the pencil, solved in PARITY_BLOCKS order.
+
+    Each block's matrix C is formed, solved and dropped before the next, and
+    the eigenpairs are kept for later solves of the same pencil in the
+    process, which the suite makes at different counts and tolerances.  The
+    kept arrays are shared between calls, so they are read-only.
 
     A side so short that some block holds an entry, or could hold an
     eigenvalue, beyond double precision is refused with CapabilityError, and so
     is a rectangle whose spectrum scale, nu_1^m = (pi^2 (1/lx^2 + 1/ly^2))^m if
     clamped and (pi / max(lx, ly))^(2m) if free, is below the normal doubles.
     """
-    m = check_order(m)
-    bc = check_bc(bc)
     if domain.shape != "rectangle":
         raise InvalidArgumentError("assembly needs a rectangle domain")
     lo, hi = sorted((domain.lx, domain.ly))
@@ -153,11 +157,10 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBloc
             f"its eigenvalues fall below the normal range of double precision")
     if n < m + 1:
         raise InvalidArgumentError(f"need n >= m + 1 = {m + 1} shape functions per axis, got {n}")
-    check_pencil_dim(n * n)
     F, G = shape_table(bc, m, n, n + 2 * m + 2)
     parity = [np.arange(p, n, 2) for p in (0, 1)]
     binom = np.array([comb(m, a) for a in range(m + 1)], dtype=float)
-    blocks = []
+    solved = []
     # the stiffness scales as (2 / side)^(2m); with numpy scalars an overflow
     # turns into inf entries, which the check below refuses
     with np.errstate(over="ignore", invalid="ignore"):
@@ -165,43 +168,21 @@ def assemble_pencil(m: int, bc: str, n: int, domain: Domain) -> tuple[PencilBloc
         y_axis = [_reduced_axis(G[0], F, I, np.float64(2.0 / domain.ly)) for I in parity]
         for px, py in PARITY_BLOCKS:
             (Rx, Wx), (Ry, Wy) = x_axis[px], y_axis[py]
-            # C[(i, j), (k, l)] = sum_a C(m,a) Rx[a, i, k] Ry[m-a, j, l]; the
-            # unoptimized einsum sums each entry in one order, so C stays
-            # exactly symmetric
+            # C[(i, j), (k, l)] = sum_a C(m,a) Rx[a, i, k] Ry[m-a, j, l]
             dim = Wx.shape[0] * Wy.shape[0]
             C = np.einsum("a,aik,ajl->ijkl", binom, Rx, Ry[::-1]).reshape(dim, dim)
             # no eigenvalue of C exceeds its dimension times its largest entry
-            if not np.isfinite(C.shape[0] * np.abs(C).max()):
+            if not np.isfinite(dim * np.abs(C).max()):
                 raise CapabilityError(
                     f"a {domain.lx:g} x {domain.ly:g} rectangle is too small for m={m}: "
                     f"its stiffness overflows double precision")
+            w, Y = hermitian_eig(C)
+            del C  # one block matrix alive at a time
             Ix, Iy = parity[px], parity[py]
-            blocks.append(PencilBlock(index=(Ix[:, None] * n + Iy[None, :]).ravel(),
-                                      matrix=C, back_x=Wx, back_y=Wy))
-    return tuple(blocks)
-
-
-class _SolvedBlock(namedtuple("_SolvedBlock", "index back_x back_y w Y")):
-    """What a later solve of the same pencil needs from one parity block:
-    its flat indices, back-transforms and standard eigenpairs (w, Y)."""
-
-    __slots__ = ()
-
-
-@lru_cache(maxsize=16)
-def _solved_blocks(m: int, bc: str, n: int, domain: Domain) -> tuple[_SolvedBlock, ...]:
-    """The eigenpairs of each parity block, computed once per process and pencil.
-
-    The suite solves several pencils more than once, at different counts and
-    tolerances.  The block matrices are not kept, and the kept arrays are
-    shared between calls, so they are read-only.
-    """
-    solved = []
-    for b in assemble_pencil(m, bc, n, domain):
-        w, Y = hermitian_eig(b.matrix)
-        solved.append(_SolvedBlock(b.index, b.back_x, b.back_y, w, Y))
-        for arr in (b.index, b.back_x, b.back_y, w, Y):
-            arr.flags.writeable = False
+            block = _SolvedBlock((Ix[:, None] * n + Iy[None, :]).ravel(), Wx, Wy, w, Y)
+            for arr in block:
+                arr.flags.writeable = False
+            solved.append(block)
     return tuple(solved)
 
 
@@ -228,7 +209,9 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     spectral discretization is dominated by unresolved modes and is never
     exposed.
     """
-    check_pencil_dim(n * n)
+    if n * n > MAX_PENCIL_DIM:
+        raise CapabilityError(
+            f"pencil dimension {n * n} exceeds the supported cap {MAX_PENCIL_DIM}")
     cap = trusted_capacity(n)
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")

@@ -98,15 +98,6 @@ def legendre_derivatives(num: int, t: np.ndarray, max_deriv: int) -> np.ndarray:
     return out
 
 
-MAX_PENCIL_DIM = 2500
-
-
-def check_pencil_dim(dim: int) -> None:
-    """Raise CapabilityError for a dense pencil dimension above MAX_PENCIL_DIM."""
-    if dim > MAX_PENCIL_DIM:
-        raise CapabilityError(f"pencil dimension {dim} exceeds the supported cap {MAX_PENCIL_DIM}")
-
-
 def mass_whitener(B: np.ndarray) -> np.ndarray:
     """T with T @ B @ T^H = I, for Hermitian positive definite B.
 

@@ -51,10 +51,7 @@ def roots_of_unity(m: int) -> np.ndarray:
     """The m distinct complex m-th roots of unity e^(2 pi i j / m), j = 0..m-1."""
     if m < 1:
         raise InvalidArgumentError(f"need m >= 1, got {m}")
-    xi = np.exp(2j * np.pi * np.arange(m) / m)
-    if abs(np.prod([xi[i] - xi[j] for i in range(m) for j in range(i)] or [1.0])) == 0.0:
-        raise NumericalError("roots of unity degenerated")
-    return xi
+    return np.exp(2j * np.pi * np.arange(m) / m)
 
 
 def wave_identity_residuals(m: int, omega: np.ndarray, alpha: np.ndarray,

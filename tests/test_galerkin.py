@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from phlab import galerkin
-from phlab.galerkin import (assemble_pencil, shape_derivatives, shape_table,
-                            solve_2d_eigensystem, solve_2d_spectrum, trusted_capacity)
+from phlab.galerkin import (_solved_blocks, shape_derivatives, shape_table, solve_2d_eigensystem,
+                            solve_2d_spectrum, trusted_capacity)
 from phlab.harness import square_laplacian_eigs
 from phlab.model import (BC_DIRICHLET, BC_NEUMANN, CapabilityError, Domain,
                          InvalidArgumentError, n_poly_dim)
@@ -57,10 +57,11 @@ def test_clamped_mass_gram_hand_value():
 
 
 def test_shape_table_grams_are_exactly_symmetric():
-    # assemble_pencil uses the Grams as symmetric with no runtime check: the
-    # einsum forms G[a, i, j] and G[a, j, i] from the same products in the
-    # same order.  Covers both families, orders 1..4 and n = 1..50, at the
-    # solver's rule and at a finer one
+    # the rectangle solver and the chain certificate take the Grams as
+    # symmetric with no runtime check: the einsum forms G[a, i, j] and
+    # G[a, j, i] from the same products in the same order.  Covers both
+    # families, orders 1..4 and n = 1..50, at the solver's rule and at a
+    # finer one
     for bc in (BC_DIRICHLET, BC_NEUMANN):
         for m in (1, 2, 3, 4):
             for n in range(1, 51):
@@ -70,22 +71,20 @@ def test_shape_table_grams_are_exactly_symmetric():
 
 def test_pencil_shapes_and_definiteness():
     for m, bc in ((1, BC_DIRICHLET), (2, BC_NEUMANN)):
-        blocks = assemble_pencil(m, bc, 6, SQUARE)
+        blocks = _solved_blocks(m, bc, 6, SQUARE)
         assert len(blocks) == 4
         npt.assert_array_equal(np.sort(np.concatenate([b.index for b in blocks])),
                                np.arange(36))
         kernel = 0
         for blk in blocks:
-            assert blk.matrix.shape == (9, 9)
             assert blk.back_x.shape == blk.back_y.shape == (3, 3)
-            npt.assert_array_equal(blk.matrix, blk.matrix.T)
-            wC = np.linalg.eigvalsh(blk.matrix)
+            assert blk.w.shape == (9,) and blk.Y.shape == (9, 9)
             if bc == BC_DIRICHLET:
-                assert wC.min() > 0.0
+                assert blk.w.min() > 0.0
             else:
                 # PSD; the kernels of the blocks add up to the polynomial dimension
-                assert wC.min() > -1e-8 * wC.max()
-                kernel += np.sum(np.abs(wC) < 1e-8 * wC.max())
+                assert blk.w.min() > -1e-8 * blk.w.max()
+                kernel += np.sum(np.abs(blk.w) < 1e-8 * blk.w.max())
         if bc == BC_NEUMANN:
             assert kernel == n_poly_dim(2, m)
 
@@ -98,15 +97,16 @@ def test_parity_blocks_match_full_pencil():
             for bc in (BC_DIRICHLET, BC_NEUMANN):
                 A, B = full_pencil(m, bc, n, dom)
                 # the back-transform of each block takes the full stiffness on
-                # its index set to the block's matrix (to the rounding of the
-                # check's own products, measured 2.5e-12); what the blocks drop
-                # is quadrature rounding of entries that vanish exactly
+                # its index set to a matrix the block's eigenpairs solve (to the
+                # rounding of the check's own products, measured 2.5e-12); what
+                # the blocks drop is quadrature rounding of entries that vanish
+                # exactly
                 kept = np.zeros_like(A, dtype=bool)
-                for blk in assemble_pencil(m, bc, n, dom):
+                for blk in _solved_blocks(m, bc, n, dom):
                     ix = np.ix_(blk.index, blk.index)
                     W = np.kron(blk.back_x, blk.back_y)
-                    C = blk.matrix
-                    npt.assert_allclose(W.T @ A[ix] @ W, C, atol=1e-10 * np.abs(C).max())
+                    npt.assert_allclose(W.T @ A[ix] @ W @ blk.Y, blk.Y * blk.w,
+                                        atol=1e-10 * np.abs(blk.w).max())
                     kept[ix] = True
                 assert np.abs(A[~kept]).max() < 1e-13 * np.abs(A).max()
                 assert np.abs(B[~kept]).max() < 1e-13 * np.abs(B).max()
@@ -125,46 +125,52 @@ def test_parity_blocks_match_full_pencil():
 
 def test_block_matrix_is_the_kronecker_sum_of_whitened_grams():
     # reference: the Python sum of C(m,a) kron(R^x_a, R^y_(m-a)) of each block,
-    # to the rounding of m + 1 products summed in another order
+    # against Y diag(w) Y^T of its eigenpairs: to the rounding of m + 1
+    # products summed in another order plus the eigensolve's backward error
+    # (measured at most 12.8 eps max|C|)
     n, dom = 9, Domain.rectangle(1.0, 0.6)
     for m in (1, 2, 3):
         for bc in (BC_DIRICHLET, BC_NEUMANN):
             F, G = shape_table(bc, m, n, n + 2 * m + 2)
             parity = [np.arange(p, n, 2) for p in (0, 1)]
-            for (px, py), blk in zip(galerkin.PARITY_BLOCKS, assemble_pencil(m, bc, n, dom)):
+            for (px, py), blk in zip(galerkin.PARITY_BLOCKS, _solved_blocks(m, bc, n, dom)):
                 Rx, _ = galerkin._reduced_axis(G[0], F, parity[px], 2.0 / dom.lx)
                 Ry, _ = galerkin._reduced_axis(G[0], F, parity[py], 2.0 / dom.ly)
                 ref = sum(comb(m, a) * np.kron(Rx[a], Ry[m - a]) for a in range(m + 1))
-                npt.assert_allclose(blk.matrix, ref, rtol=0,
-                                    atol=4 * (m + 1) * np.finfo(float).eps * np.abs(ref).max())
-                npt.assert_array_equal(blk.matrix, blk.matrix.T)
+                npt.assert_allclose((blk.Y * blk.w) @ blk.Y.T, ref, rtol=0,
+                                    atol=64 * np.finfo(float).eps * np.abs(ref).max())
 
 
 def test_oversized_pencil_refused_before_assembly(monkeypatch):
+    # the cap is n^2 <= 2500: n=51 is refused up front, n=50 reaches assembly
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembly started")
 
     monkeypatch.setattr(galerkin, "shape_table", no_assembly)
+    galerkin._solved_blocks.cache_clear()
     with pytest.raises(CapabilityError, match="pencil dimension 2601 exceeds the supported cap 2500"):
         solve_2d_eigensystem(1, BC_DIRICHLET, 51, SQUARE, count=1)
+    with pytest.raises(AssertionError, match="assembly started"):
+        solve_2d_eigensystem(1, BC_DIRICHLET, 50, SQUARE, count=1)
 
 
 def test_repeated_solve_reuses_block_eigenpairs(monkeypatch):
-    # a second solve of one pencil at a larger count assembles nothing and
+    # a second solve of one pencil at a larger count solves no block and
     # returns fresh arrays whose leading columns equal the first solve's
-    assembled = []
-    assemble = galerkin.assemble_pencil
+    solved = []
+    eig = galerkin.hermitian_eig
 
-    def counted(*args):
-        assembled.append(args)
-        return assemble(*args)
+    def counted(C):
+        solved.append(C.shape)
+        return eig(C)
 
-    monkeypatch.setattr(galerkin, "assemble_pencil", counted)
+    monkeypatch.setattr(galerkin, "hermitian_eig", counted)
     galerkin._solved_blocks.cache_clear()
     dom = Domain.rectangle(1.0, 0.7)
     small = solve_2d_eigensystem(2, BC_NEUMANN, 10, dom, count=5)
+    assert len(solved) == 4
     large = solve_2d_eigensystem(2, BC_NEUMANN, 10, dom, count=12)
-    assert len(assembled) == 1
+    assert len(solved) == 4
     npt.assert_array_equal(large.spectrum.values[:5], small.spectrum.values)
     npt.assert_array_equal(large.vectors[:, :5], small.vectors)
     # the values are an immutable tuple; the vectors are the caller's own array
@@ -178,14 +184,14 @@ def test_repeated_solve_reuses_block_eigenpairs(monkeypatch):
 def test_operator_order_4_refused():
     # the shape tables reach family order 4, the operator does not
     with pytest.raises(CapabilityError, match="supported orders are 1..3"):
-        assemble_pencil(4, BC_DIRICHLET, 8, SQUARE)
+        solve_2d_spectrum(4, BC_DIRICHLET, 8, SQUARE, count=3)
     with pytest.raises(CapabilityError, match="supported orders are 1..3"):
         solve_2d_spectrum(4, BC_NEUMANN, 8, SQUARE, count=3)
 
 
 def test_min_basis_size_enforced():
-    with pytest.raises(InvalidArgumentError):
-        assemble_pencil(3, BC_DIRICHLET, 3, SQUARE)
+    with pytest.raises(InvalidArgumentError, match="need n >= m \\+ 1 = 4"):
+        solve_2d_spectrum(3, BC_DIRICHLET, 3, SQUARE, count=1)
 
 
 def test_trusted_capacity_rule():

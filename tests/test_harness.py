@@ -170,17 +170,19 @@ def test_suite_deterministic_across_worker_counts():
 
 
 def test_suite_assembles_each_distinct_pencil_once(monkeypatch):
-    # the suite's 16 rectangle solves cover 11 distinct pencils
-    assembled = []
-    assemble = galerkin.assemble_pencil
+    # the suite's 16 rectangle solves cover 11 distinct pencils, and each
+    # distinct pencil solves its four parity blocks once
+    solved = []
+    eig = galerkin.hermitian_eig
 
-    def counted(*args):
-        assembled.append(args)
-        return assemble(*args)
+    def counted(C):
+        solved.append(C.shape)
+        return eig(C)
 
-    monkeypatch.setattr(galerkin, "assemble_pencil", counted)
+    monkeypatch.setattr(galerkin, "hermitian_eig", counted)
     galerkin._solved_blocks.cache_clear()
     run_suite(_cfg())
     info = galerkin._solved_blocks.cache_info()
     assert info.hits + info.misses == 16
-    assert len(assembled) == len(set(assembled)) == 11
+    assert info.misses == 11
+    assert len(solved) == 44

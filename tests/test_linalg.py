@@ -2,10 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from phlab.linalg import (check_pencil_dim, gauss_legendre, hermitian_eig, legendre_derivatives,
-                          mass_whitener)
+from phlab.linalg import gauss_legendre, hermitian_eig, legendre_derivatives, mass_whitener
 from phlab.model import CapabilityError, InvalidArgumentError, NumericalError
-from phlab.trialspace import _hermitian_part
 
 
 def test_gauss_legendre_weights_sum():
@@ -65,18 +63,6 @@ def test_eigensolve_failure_is_numerical_error(monkeypatch):
         hermitian_eig(np.eye(2))
 
 
-def test_force_symmetric_rejects_gross_asymmetry():
-    # the chain certificate's check on its forms, real and complex
-    with pytest.raises(NumericalError):
-        _hermitian_part(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NumericalError):
-        _hermitian_part(np.array([[1.0, 2.0j], [2.0j, 1.0]]))
-    # a deviation below the 1e-12 relative threshold passes and is averaged away
-    H = _hermitian_part(np.array([[1.0, 1.0 + 5e-13], [1.0, 1.0]]))
-    assert H.dtype == float and H[0, 1] == H[1, 0]
-    assert _hermitian_part(np.eye(2)).dtype == float
-
-
 def test_mass_whitener_hand_case():
     T = mass_whitener(np.diag([2.0, 1.0]))
     npt.assert_allclose(T, np.diag([2.0 ** -0.5, 1.0]), rtol=1e-15)
@@ -119,9 +105,3 @@ def test_whitened_pencil_congruence_invariance():
     D = np.diag(np.exp(rng.uniform(-6, 6, size=n)))
     w1 = pencil_eigenvalues(D @ A @ D, D @ B @ D)
     npt.assert_allclose(w1, w0, rtol=1e-9, atol=1e-11)
-
-
-def test_pencil_dimension_cap():
-    check_pencil_dim(2500)
-    with pytest.raises(CapabilityError):
-        check_pencil_dim(2501)

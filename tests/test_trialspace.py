@@ -8,9 +8,10 @@ import pytest
 from phlab import galerkin, trialspace
 from phlab.galerkin import shape_derivatives, solve_2d_eigensystem
 from phlab.linalg import gauss_legendre
-from phlab.model import BC_NEUMANN, Domain, GramDegeneracyError, InvalidArgumentError
-from phlab.trialspace import (certified_chain_bound, roots_of_unity, vandermonde_check,
-                              wave_identity_residuals)
+from phlab.model import (BC_NEUMANN, Domain, GramDegeneracyError, InvalidArgumentError,
+                         NumericalError)
+from phlab.trialspace import (_hermitian_part, certified_chain_bound, roots_of_unity,
+                              vandermonde_check, wave_identity_residuals)
 
 SQUARE = Domain.rectangle(1.0, 1.0)
 
@@ -219,6 +220,17 @@ def test_chain_gram_degeneracy_detected():
     with pytest.raises(GramDegeneracyError):
         certified_chain_bound(2, broken)
 
+
+def test_hermitian_part_rejects_gross_asymmetry():
+    # the chain certificate's check on its forms, real and complex
+    with pytest.raises(NumericalError):
+        _hermitian_part(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(NumericalError):
+        _hermitian_part(np.array([[1.0, 2.0j], [2.0j, 1.0]]))
+    # a deviation below the 1e-12 relative threshold passes and is averaged away
+    H = _hermitian_part(np.array([[1.0, 1.0 + 5e-13], [1.0, 1.0]]))
+    assert H.dtype == float and H[0, 1] == H[1, 0]
+    assert _hermitian_part(np.eye(2)).dtype == float
 
 
 def test_normalized_gram_min_sv_known():
