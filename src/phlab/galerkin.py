@@ -26,9 +26,14 @@ mass block is whitened by its own Cholesky factor, whose condition is the
 square root of the 2d one, and the whitened 1d Grams are combined by one
 einsum into one standard symmetric matrix per block.  No n^2-sized stiffness
 or mass matrix is formed.  One cached pass forms each block's matrix, hands
-it to one symmetric eigensolve and drops it before the next block, keeping
-only the eigenpairs for later solves of the same pencil in the process; the
-spectra are merged in a fixed order inside clusters of equal values.
+it to one symmetric eigensolve and drops it before the next block.  The
+solve takes the path its caller needs.  solve_2d_spectrum, behind spectrum2d
+and every rectangle claim but the chain certificate, runs a values-only
+eigensolve per block, keeps only the block values and merges them by one
+sort.  solve_2d_eigensystem, which only the chain certificate needs, runs
+the eigenpair solve, keeps the eigenvectors with their back-transforms and
+merges in a fixed order inside clusters of equal values.  Both kinds of
+entry share one process cache, for later solves of the same pencil.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ def _reduced_axis(G00: np.ndarray, F: np.ndarray, index: np.ndarray,
 
 
 class _SolvedBlock(namedtuple("_SolvedBlock", "index back_x back_y w Y")):
-    """One parity block, solved as a standard symmetric eigenproblem.
+    """One parity block, solved with its eigenvectors.
 
     index holds the flat indices i1 * n + i2 of the block's shapes.  The
     block pencil (sum_a C(m,a) K^x_a (x) K^y_(m-a), M^x (x) M^y) of physical
@@ -126,18 +131,23 @@ class _SolvedBlock(namedtuple("_SolvedBlock", "index back_x back_y w Y")):
     C = sum_a C(m,a) R^x_a (x) R^y_(m-a), with R_a = W K_a W^T for the
     whitener W of each axis (W M W^T = I, so R_0 = I).  A column y of the
     eigenvectors Y of C gives the mass-orthonormal
-    v = (back_x (x) back_y) y, back = W^T.
+    v = (back_x (x) back_y) y, back = W^T.  Only eigenpair solves keep these;
+    a values-only solve keeps each block's w alone.
     """
 
     __slots__ = ()
 
 
 @lru_cache(maxsize=16)
-def _solved_blocks(m: int, bc: str, n: int, domain: Domain) -> tuple[_SolvedBlock, ...]:
+def _solved_blocks(m: int, bc: str, n: int, domain: Domain,
+                   vectors: bool) -> tuple[_SolvedBlock | np.ndarray, ...]:
     """The four parity blocks of the pencil, solved in PARITY_BLOCKS order.
 
-    Each block's matrix C is formed, solved and dropped before the next, and
-    the eigenpairs are kept for later solves of the same pencil in the
+    Each block's matrix C is formed, solved and dropped before the next.
+    With vectors, each block gets eigh and is kept as a _SolvedBlock; without,
+    it gets eigvalsh and only its ascending values w are kept, with no
+    eigenvector, index or back-transform.  The 16 entries of the cache hold
+    both kinds, keyed by vectors, for later solves of the same pencil in the
     process, which the suite makes at different counts and tolerances.  The
     kept arrays are shared between calls, so they are read-only.
 
@@ -176,13 +186,16 @@ def _solved_blocks(m: int, bc: str, n: int, domain: Domain) -> tuple[_SolvedBloc
                 raise CapabilityError(
                     f"a {domain.lx:g} x {domain.ly:g} rectangle is too small for m={m}: "
                     f"its stiffness overflows double precision")
-            w, Y = hermitian_eig(C)
+            kept = hermitian_eig(C, vectors)
             del C  # one block matrix alive at a time
-            Ix, Iy = parity[px], parity[py]
-            block = _SolvedBlock((Ix[:, None] * n + Iy[None, :]).ravel(), Wx, Wy, w, Y)
-            for arr in block:
-                arr.flags.writeable = False
-            solved.append(block)
+            if vectors:
+                Ix, Iy = parity[px], parity[py]
+                kept = _SolvedBlock((Ix[:, None] * n + Iy[None, :]).ravel(), Wx, Wy, *kept)
+                for arr in kept:
+                    arr.flags.writeable = False
+            else:
+                kept.flags.writeable = False
+            solved.append(kept)
     return tuple(solved)
 
 
@@ -200,10 +213,9 @@ class Eigensystem2D(namedtuple("Eigensystem2D", "spectrum vectors")):
     __slots__ = ()
 
 
-def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectangle(),
-                         count: int = 10,
-                         tol: ToleranceConfig = ToleranceConfig()) -> Eigensystem2D:
-    """Solve the discrete pencil and return the first `count` eigenpairs.
+def _checked_blocks(m: int, bc: str, n: int, domain: Domain, count: int,
+                    vectors: bool) -> tuple[_SolvedBlock | np.ndarray, ...]:
+    """The solved blocks of the pencil, once n, count, m and bc pass their checks.
 
     count may not exceed trusted_capacity(n): the top 30 percent of a
     spectral discretization is dominated by unresolved modes and is never
@@ -219,7 +231,30 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
         raise CapabilityError(
             f"count exceeds the trusted capacity {cap} of n={n}; increase n"
         )
-    blocks = _solved_blocks(check_order(m), check_bc(bc), n, domain)
+    return _solved_blocks(check_order(m), check_bc(bc), n, domain, vectors)
+
+
+def _first_values(m: int, bc: str, n: int, domain: Domain, w: np.ndarray, count: int,
+                  tol: ToleranceConfig) -> Spectrum:
+    """The first count of the ascending merged values w, validated."""
+    # validate the zero block against the eigenvalue right after it, even when
+    # the caller asked for fewer entries than the block holds
+    z = n_poly_dim(2, m) if bc == BC_NEUMANN else 0
+    probe_len = min(max(count, z + 1), w.size)
+    full = make_spectrum(m, bc, domain, MethodInfo("Galerkin2D", n_per_axis=n),
+                         w[:probe_len], tol=tol)
+    return full._replace(values=full.values[:count])
+
+
+def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectangle(),
+                         count: int = 10,
+                         tol: ToleranceConfig = ToleranceConfig()) -> Eigensystem2D:
+    """Solve the discrete pencil and return the first `count` eigenpairs.
+
+    Each block gets an eigenpair solve.  A caller that reads only the values
+    should take solve_2d_spectrum, which forms no eigenvector.
+    """
+    blocks = _checked_blocks(m, bc, n, domain, count, True)
     w_all = np.concatenate([b.w for b in blocks])
     order = np.argsort(w_all, kind="stable")
     w = w_all[order]
@@ -236,17 +271,17 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
         V[np.ix_(b.index, cols)] = np.einsum("ik,jl,klc->ijc", b.back_x, b.back_y, Y,
                                              optimize=True).reshape(b.index.size, cols.size)
         start += b.w.size
-    # validate the zero block against the eigenvalue right after it, even when
-    # the caller asked for fewer entries than the block holds
-    z = n_poly_dim(2, m) if bc == BC_NEUMANN else 0
-    probe_len = min(max(count, z + 1), w.size)
-    full = make_spectrum(m, bc, domain, MethodInfo("Galerkin2D", n_per_axis=n),
-                         w[:probe_len], tol=tol)
-    spectrum = full._replace(values=full.values[:count])
-    return Eigensystem2D(spectrum=spectrum, vectors=V)
+    return Eigensystem2D(spectrum=_first_values(m, bc, n, domain, w, count, tol), vectors=V)
 
 
 def solve_2d_spectrum(m: int, bc: str, n: int, domain: Domain = Domain.rectangle(),
                       count: int = 10,
                       tol: ToleranceConfig = ToleranceConfig()) -> Spectrum:
-    return solve_2d_eigensystem(m, bc, n, domain, count, tol).spectrum
+    """Solve the discrete pencil for its first `count` eigenvalues alone.
+
+    Each block gets a values-only solve, and the block values are merged by
+    one sort.  The values agree with solve_2d_eigensystem's to the
+    eigensolvers' backward error, not bit for bit.
+    """
+    w = np.sort(np.concatenate(_checked_blocks(m, bc, n, domain, count, False)))
+    return _first_values(m, bc, n, domain, w, count, tol)

@@ -119,13 +119,17 @@ def mass_whitener(B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L, np.diag(d))
 
 
-def hermitian_eig(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors of Hermitian C.
+def hermitian_eig(C: np.ndarray,
+                  vectors: bool = True) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+    """Ascending eigenvalues of Hermitian C, with or without its eigenvectors.
 
-    numpy's divide-and-conquer eigh, which reads the lower triangle; its
-    failure to converge is raised as NumericalError.
+    With vectors, numpy's divide-and-conquer eigh returns the pair (w, Y) of
+    eigenvalues and orthonormal eigenvectors.  Without, eigvalsh returns w
+    alone: the same LAPACK driver then forms no eigenvector, so it needs
+    neither the N x N eigenvector array nor its O(N^2) workspace.  Both read
+    the lower triangle; a failure to converge is raised as NumericalError.
     """
     try:
-        return np.linalg.eigh(C)
+        return np.linalg.eigh(C) if vectors else np.linalg.eigvalsh(C)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolve failed: {exc}") from exc

@@ -71,7 +71,7 @@ def test_shape_table_grams_are_exactly_symmetric():
 
 def test_pencil_shapes_and_definiteness():
     for m, bc in ((1, BC_DIRICHLET), (2, BC_NEUMANN)):
-        blocks = _solved_blocks(m, bc, 6, SQUARE)
+        blocks = _solved_blocks(m, bc, 6, SQUARE, True)
         assert len(blocks) == 4
         npt.assert_array_equal(np.sort(np.concatenate([b.index for b in blocks])),
                                np.arange(36))
@@ -102,7 +102,7 @@ def test_parity_blocks_match_full_pencil():
                 # the blocks drop is quadrature rounding of entries that vanish
                 # exactly
                 kept = np.zeros_like(A, dtype=bool)
-                for blk in _solved_blocks(m, bc, n, dom):
+                for blk in _solved_blocks(m, bc, n, dom, True):
                     ix = np.ix_(blk.index, blk.index)
                     W = np.kron(blk.back_x, blk.back_y)
                     npt.assert_allclose(W.T @ A[ix] @ W @ blk.Y, blk.Y * blk.w,
@@ -133,7 +133,8 @@ def test_block_matrix_is_the_kronecker_sum_of_whitened_grams():
         for bc in (BC_DIRICHLET, BC_NEUMANN):
             F, G = shape_table(bc, m, n, n + 2 * m + 2)
             parity = [np.arange(p, n, 2) for p in (0, 1)]
-            for (px, py), blk in zip(galerkin.PARITY_BLOCKS, _solved_blocks(m, bc, n, dom)):
+            for (px, py), blk in zip(galerkin.PARITY_BLOCKS,
+                                     _solved_blocks(m, bc, n, dom, True)):
                 Rx, _ = galerkin._reduced_axis(G[0], F, parity[px], 2.0 / dom.lx)
                 Ry, _ = galerkin._reduced_axis(G[0], F, parity[py], 2.0 / dom.ly)
                 ref = sum(comb(m, a) * np.kron(Rx[a], Ry[m - a]) for a in range(m + 1))
@@ -160,9 +161,9 @@ def test_repeated_solve_reuses_block_eigenpairs(monkeypatch):
     solved = []
     eig = galerkin.hermitian_eig
 
-    def counted(C):
+    def counted(C, vectors):
         solved.append(C.shape)
-        return eig(C)
+        return eig(C, vectors)
 
     monkeypatch.setattr(galerkin, "hermitian_eig", counted)
     galerkin._solved_blocks.cache_clear()
@@ -176,9 +177,55 @@ def test_repeated_solve_reuses_block_eigenpairs(monkeypatch):
     # the values are an immutable tuple; the vectors are the caller's own array
     assert isinstance(large.spectrum.values, tuple)
     assert large.vectors.flags.writeable
-    for blk in galerkin._solved_blocks(2, BC_NEUMANN, 10, dom):
+    for blk in galerkin._solved_blocks(2, BC_NEUMANN, 10, dom, True):
         for arr in (blk.index, blk.back_x, blk.back_y, blk.w, blk.Y):
             assert not arr.flags.writeable
+
+
+def test_spectrum_solve_forms_no_eigenvector(monkeypatch):
+    # solve_2d_spectrum runs one values-only solve per block and no eigh, and
+    # its cache entries are the read-only block values alone
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def no_vectors(C):
+        raise AssertionError("eigenvector solve")
+
+    def counted(C):
+        solved.append(C.shape)
+        return eigvalsh(C)
+
+    monkeypatch.setattr(np.linalg, "eigh", no_vectors)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    galerkin._solved_blocks.cache_clear()
+    dom = Domain.rectangle(1.0, 0.7)
+    spec = solve_2d_spectrum(2, BC_NEUMANN, 10, dom, count=12)
+    assert solved == [(25, 25)] * 4
+    assert len(spec.values) == 12
+    blocks = galerkin._solved_blocks(2, BC_NEUMANN, 10, dom, False)
+    assert [w.shape for w in blocks] == [(25,)] * 4
+    assert not any(w.flags.writeable for w in blocks)
+    with pytest.raises(AssertionError, match="eigenvector solve"):
+        solve_2d_eigensystem(2, BC_NEUMANN, 10, dom, count=12)
+
+
+def test_spectrum_values_match_eigensystem():
+    # the two paths solve the same block matrices with eigvalsh and eigh, each
+    # backward stable, so their values differ by a small multiple of
+    # eps ||C|| = eps max|w| (measured at most 3.3 eps max|w|); relative to a
+    # value lambda that is eps ||C|| / lambda, 1.9e-9 at m=3 free on 1 x 0.7
+    eps = np.finfo(float).eps
+    for dom in (SQUARE, Domain.rectangle(1.0, 0.7)):
+        for m in (1, 2, 3):
+            for bc in (BC_DIRICHLET, BC_NEUMANN):
+                for n in (6, 10, 14, 16):
+                    cap = trusted_capacity(n)
+                    values = solve_2d_spectrum(m, bc, n, dom, count=cap)
+                    pairs = solve_2d_eigensystem(m, bc, n, dom, count=cap).spectrum
+                    assert values.zero_count == pairs.zero_count
+                    w_max = max(np.abs(w).max() for w in _solved_blocks(m, bc, n, dom, False))
+                    npt.assert_allclose(values.values, pairs.values, rtol=0,
+                                        atol=16 * eps * w_max, err_msg=str((dom, m, bc, n)))
 
 
 def test_operator_order_4_refused():

@@ -170,19 +170,32 @@ def test_suite_deterministic_across_worker_counts():
 
 
 def test_suite_assembles_each_distinct_pencil_once(monkeypatch):
-    # the suite's 16 rectangle solves cover 11 distinct pencils, and each
-    # distinct pencil solves its four parity blocks once
-    solved = []
-    eig = galerkin.hermitian_eig
+    # the suite's 16 rectangle solves cover 11 distinct pencils.  Only the
+    # chain certificate needs eigenvectors, and root-monotonicity reads the
+    # values of the same m=1 and m=2 clamped pencils at n=16, so those two are
+    # solved once on each path: 13 cache misses, 10 values-only and 3
+    # eigenpair, each solving its four parity blocks once
+    keys, solved = [], []
+    cached, eig = galerkin._solved_blocks, galerkin.hermitian_eig
 
-    def counted(C):
-        solved.append(C.shape)
-        return eig(C)
+    def recorded(*key):
+        keys.append(key)
+        return cached(*key)
 
+    def counted(C, vectors):
+        solved.append(vectors)
+        return eig(C, vectors)
+
+    monkeypatch.setattr(galerkin, "_solved_blocks", recorded)
     monkeypatch.setattr(galerkin, "hermitian_eig", counted)
-    galerkin._solved_blocks.cache_clear()
+    cached.cache_clear()
     run_suite(_cfg())
-    info = galerkin._solved_blocks.cache_info()
-    assert info.hits + info.misses == 16
-    assert info.misses == 11
-    assert len(solved) == 44
+    info = cached.cache_info()
+    assert len(keys) == info.hits + info.misses == 16
+    assert info.misses == len(set(keys)) == 13
+    assert len({key[:4] for key in keys}) == 11
+    both = ({key[:4] for key in keys if key[4]}
+            & {key[:4] for key in keys if not key[4]})
+    assert both == {(m, BC_DIRICHLET, 16, Domain.rectangle()) for m in (1, 2)}
+    assert solved.count(False) == 40
+    assert solved.count(True) == 12

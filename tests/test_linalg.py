@@ -63,6 +63,15 @@ def test_eigensolve_failure_is_numerical_error(monkeypatch):
         hermitian_eig(np.eye(2))
 
 
+def test_values_eigensolve_failure_is_numerical_error(monkeypatch):
+    def no_convergence(C):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NumericalError, match="eigensolve failed"):
+        hermitian_eig(np.eye(2), vectors=False)
+
+
 def test_mass_whitener_hand_case():
     T = mass_whitener(np.diag([2.0, 1.0]))
     npt.assert_allclose(T, np.diag([2.0 ** -0.5, 1.0]), rtol=1e-15)
