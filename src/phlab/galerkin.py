@@ -25,15 +25,15 @@ form of the fast diagonalization of Lynch, Rice & Thomas, 1964): each 1d
 mass block is whitened by its own Cholesky factor, whose condition is the
 square root of the 2d one, and the whitened 1d Grams are combined by one
 einsum into one standard symmetric matrix per block.  No n^2-sized stiffness
-or mass matrix is formed.  One cached pass forms each block's matrix, hands
-it to one symmetric eigensolve and drops it before the next block.  The
-solve takes the path its caller needs.  solve_2d_spectrum, behind spectrum2d
-and every rectangle claim but the chain certificate, runs a values-only
-eigensolve per block, keeps only the block values and merges them by one
-sort.  solve_2d_eigensystem, which only the chain certificate needs, runs
-the eigenpair solve, keeps the eigenvectors with their back-transforms and
-merges in a fixed order inside clusters of equal values.  Both kinds of
-entry share one process cache, for later solves of the same pencil.
+or mass matrix is formed.  One pass forms each block's matrix, hands it to
+one symmetric eigensolve and drops it before the next block; nothing is kept
+between solves.  The solve takes the path its caller needs.
+solve_2d_spectrum, behind spectrum2d and every rectangle claim but the chain
+certificate, runs a values-only eigensolve per block, keeps only the block
+values and merges them by one sort.  solve_2d_eigensystem, which only the
+chain certificate needs, runs the eigenpair solve, keeps the eigenvectors
+with their back-transforms and merges in a fixed order inside clusters of
+equal values.
 """
 
 from __future__ import annotations
@@ -105,6 +105,11 @@ MAX_PENCIL_DIM = 2500
 CLUSTER_RTOL = 1e-10
 
 
+def trusted_capacity(n: int) -> int:
+    """How many of the n^2 discrete eigenvalues are exposed as trustworthy."""
+    return floor(0.7 * n * n)
+
+
 def _reduced_axis(G00: np.ndarray, F: np.ndarray, index: np.ndarray,
                   s: float) -> tuple[np.ndarray, np.ndarray]:
     """Whitened 1d Grams R[a] and back-transform W^T of one axis parity.
@@ -131,31 +136,41 @@ class _SolvedBlock(namedtuple("_SolvedBlock", "index back_x back_y w Y")):
     C = sum_a C(m,a) R^x_a (x) R^y_(m-a), with R_a = W K_a W^T for the
     whitener W of each axis (W M W^T = I, so R_0 = I).  A column y of the
     eigenvectors Y of C gives the mass-orthonormal
-    v = (back_x (x) back_y) y, back = W^T.  Only eigenpair solves keep these;
-    a values-only solve keeps each block's w alone.
+    v = (back_x (x) back_y) y, back = W^T.  Only eigenpair solves form these;
+    a values-only solve returns each block's w alone.
     """
 
     __slots__ = ()
 
 
-@lru_cache(maxsize=16)
-def _solved_blocks(m: int, bc: str, n: int, domain: Domain,
+def _solved_blocks(m: int, bc: str, n: int, domain: Domain, count: int,
                    vectors: bool) -> tuple[_SolvedBlock | np.ndarray, ...]:
     """The four parity blocks of the pencil, solved in PARITY_BLOCKS order.
 
     Each block's matrix C is formed, solved and dropped before the next.
-    With vectors, each block gets eigh and is kept as a _SolvedBlock; without,
-    it gets eigvalsh and only its ascending values w are kept, with no
-    eigenvector, index or back-transform.  The 16 entries of the cache hold
-    both kinds, keyed by vectors, for later solves of the same pencil in the
-    process, which the suite makes at different counts and tolerances.  The
-    kept arrays are shared between calls, so they are read-only.
+    With vectors, each block gets eigh and is returned as a _SolvedBlock;
+    without, it gets eigvalsh and only its ascending values w are returned,
+    with no eigenvector, index or back-transform.
 
-    A side so short that some block holds an entry, or could hold an
-    eigenvalue, beyond double precision is refused with CapabilityError, and so
-    is a rectangle whose spectrum scale, nu_1^m = (pi^2 (1/lx^2 + 1/ly^2))^m if
-    clamped and (pi / max(lx, ly))^(2m) if free, is below the normal doubles.
+    count may not exceed trusted_capacity(n): the top 30 percent of a
+    spectral discretization is dominated by unresolved modes and is never
+    exposed.  A side so short that some block holds an entry, or could hold
+    an eigenvalue, beyond double precision is refused with CapabilityError,
+    and so is a rectangle whose spectrum scale, nu_1^m =
+    (pi^2 (1/lx^2 + 1/ly^2))^m if clamped and (pi / max(lx, ly))^(2m) if
+    free, is below the normal doubles.
     """
+    if n * n > MAX_PENCIL_DIM:
+        raise CapabilityError(
+            f"pencil dimension {n * n} exceeds the supported cap {MAX_PENCIL_DIM}")
+    cap = trusted_capacity(n)
+    if count < 1:
+        raise InvalidArgumentError(f"count must be >= 1, got {count}")
+    if count > cap:
+        raise CapabilityError(
+            f"count exceeds the trusted capacity {cap} of n={n}; increase n"
+        )
+    m, bc = check_order(m), check_bc(bc)
     if domain.shape != "rectangle":
         raise InvalidArgumentError("assembly needs a rectangle domain")
     lo, hi = sorted((domain.lx, domain.ly))
@@ -191,17 +206,8 @@ def _solved_blocks(m: int, bc: str, n: int, domain: Domain,
             if vectors:
                 Ix, Iy = parity[px], parity[py]
                 kept = _SolvedBlock((Ix[:, None] * n + Iy[None, :]).ravel(), Wx, Wy, *kept)
-                for arr in kept:
-                    arr.flags.writeable = False
-            else:
-                kept.flags.writeable = False
             solved.append(kept)
     return tuple(solved)
-
-
-def trusted_capacity(n: int) -> int:
-    """How many of the n^2 discrete eigenvalues are exposed as trustworthy."""
-    return floor(0.7 * n * n)
 
 
 class Eigensystem2D(namedtuple("Eigensystem2D", "spectrum vectors")):
@@ -211,27 +217,6 @@ class Eigensystem2D(namedtuple("Eigensystem2D", "spectrum vectors")):
     """
 
     __slots__ = ()
-
-
-def _checked_blocks(m: int, bc: str, n: int, domain: Domain, count: int,
-                    vectors: bool) -> tuple[_SolvedBlock | np.ndarray, ...]:
-    """The solved blocks of the pencil, once n, count, m and bc pass their checks.
-
-    count may not exceed trusted_capacity(n): the top 30 percent of a
-    spectral discretization is dominated by unresolved modes and is never
-    exposed.
-    """
-    if n * n > MAX_PENCIL_DIM:
-        raise CapabilityError(
-            f"pencil dimension {n * n} exceeds the supported cap {MAX_PENCIL_DIM}")
-    cap = trusted_capacity(n)
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {count}")
-    if count > cap:
-        raise CapabilityError(
-            f"count exceeds the trusted capacity {cap} of n={n}; increase n"
-        )
-    return _solved_blocks(check_order(m), check_bc(bc), n, domain, vectors)
 
 
 def _first_values(m: int, bc: str, n: int, domain: Domain, w: np.ndarray, count: int,
@@ -254,7 +239,7 @@ def solve_2d_eigensystem(m: int, bc: str, n: int, domain: Domain = Domain.rectan
     Each block gets an eigenpair solve.  A caller that reads only the values
     should take solve_2d_spectrum, which forms no eigenvector.
     """
-    blocks = _checked_blocks(m, bc, n, domain, count, True)
+    blocks = _solved_blocks(m, bc, n, domain, count, True)
     w_all = np.concatenate([b.w for b in blocks])
     order = np.argsort(w_all, kind="stable")
     w = w_all[order]
@@ -283,5 +268,5 @@ def solve_2d_spectrum(m: int, bc: str, n: int, domain: Domain = Domain.rectangle
     one sort.  The values agree with solve_2d_eigensystem's to the
     eigensolvers' backward error, not bit for bit.
     """
-    w = np.sort(np.concatenate(_checked_blocks(m, bc, n, domain, count, False)))
+    w = np.sort(np.concatenate(_solved_blocks(m, bc, n, domain, count, False)))
     return _first_values(m, bc, n, domain, w, count, tol)

@@ -36,14 +36,17 @@ def square_laplacian_eigs(bc: str, count: int, lx: float = 1.0, ly: float = 1.0)
     Dirichlet: pi^2 (p^2 / lx^2 + q^2 / ly^2) over p, q >= 1; the free
     problem admits p, q >= 0.  The first `count` values along either axis
     bound the count-th value from above, and every (p, q) at or below that
-    bound is enumerated, so the result is complete at any aspect ratio.
+    bound is enumerated, so the result is complete at any aspect ratio.  No
+    axis needs more than count entries: for p > lo + count - 1, the count
+    values at the same q and p = lo..lo + count - 1 are all smaller.
     Sorted ascending; the reference every m=1 result is judged against.
     """
     lo = 1 if bc == BC_DIRICHLET else 0
     top = pi ** 2 * min((lo + count - 1) ** 2 / lx ** 2 + lo * lo / ly ** 2,
                         lo * lo / lx ** 2 + (lo + count - 1) ** 2 / ly ** 2)
-    p = np.arange(lo, lo + 2 + int(lx * sqrt(top) / pi))
-    q = np.arange(lo, lo + 2 + int(ly * sqrt(top) / pi))
+    # capped while still a float: a long side would ask for billions of p
+    p = np.arange(lo, lo + int(min(count, 2 + lx * sqrt(top) / pi)))
+    q = np.arange(lo, lo + int(min(count, 2 + ly * sqrt(top) / pi)))
     vals = pi ** 2 * (p[:, None] ** 2 / lx ** 2 + q[None, :] ** 2 / ly ** 2)
     return np.sort(vals, axis=None)[:count]
 
@@ -211,12 +214,12 @@ def laplacian_power_energy(A: np.ndarray, F: np.ndarray, m: int) -> np.ndarray:
                for e in range(rem + 1))
 
 
-def h0_sample_coeffs(m: int, count: int, seed: int) -> np.ndarray:
-    """Seeded standard-normal coefficients, stacked (count, 3, 3), over the
-    clamped shapes (1-t^2)^(m+1) P_i, i < 3, of each axis.
+def h0_sample_coeffs(count: int, seed: int) -> np.ndarray:
+    """Seeded standard-normal coefficients, stacked (count, 3, 3).
 
-    The factor (1-t^2)^(m+1) vanishes to order m+1 at both ends, so every
-    sample lies in H^(m+1)_0 of the reference square.
+    They do not depend on m: taken over the clamped shapes (1-t^2)^(m+1) P_i,
+    i < 3, of each axis, whose factor vanishes to order m+1 at both ends,
+    every sample lies in H^(m+1)_0 of the reference square.
     """
     return np.random.default_rng(seed).standard_normal((count, 3, 3))
 
@@ -238,7 +241,7 @@ def claim_interpolation(cfg: RunConfig) -> VerificationReport:
     m = cfg.m
     if cfg.count > MAX_SAMPLES:
         raise CapabilityError(f"at most {MAX_SAMPLES} interpolation samples are supported per call")
-    A = h0_sample_coeffs(m, cfg.count, cfg.seed)
+    A = h0_sample_coeffs(cfg.count, cfg.seed)
     # the samples' degree is 2m + 4 per axis, so 2m + 5 nodes integrate their squares
     F, _ = shape_table(BC_DIRICHLET, m + 1, 3, 2 * m + 5)
     energies = zip(gradient_energy(A, F, m).tolist(), gradient_energy(A, F, m + 1).tolist(),

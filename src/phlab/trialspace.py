@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product as iter_product
-from math import ceil, comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -105,9 +105,14 @@ def vandermonde_check(zetas) -> float:
 # combined space W = span(u_1..u_k) + V_omega on the rectangle
 
 
-def _chain_quad_floor(n: int, radius: float, lmax: float) -> int:
-    """Per-axis node floor n + 2 ceil(|omega| L / pi) + 10: resolves the wave."""
-    return n + 2 * ceil(radius * lmax / np.pi) + 10
+def _chain_quad_floor(n: int, radius: float, lmax: float) -> float:
+    """Per-axis node floor n + 2 ceil(|omega| L / pi) + 10: resolves the wave.
+
+    A float, inf where it overflows, so that it is compared with
+    MAX_GAUSS_NODES before it is taken as an int.
+    """
+    with np.errstate(over="ignore"):
+        return float(n + 2.0 * np.ceil(radius * lmax / np.pi) + 10)
 
 
 def _axis_forms(F: np.ndarray, Gref: np.ndarray, length: float, freq: float,
@@ -207,10 +212,11 @@ def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
     r = lambda_hat ** (1.0 / (2 * m))
     nq = _chain_quad_floor(n, r, max(dom.lx, dom.ly))
     if nq > MAX_GAUSS_NODES:
+        need = f"{nq:.4g}" if isfinite(nq) else "over 1.8e308"
         raise CapabilityError(
             f"the chain certificate for k={k} on the {dom.lx:g} x {dom.ly:g} rectangle "
-            f"needs {nq} Gauss nodes per axis, over the {MAX_GAUSS_NODES}-node limit")
-    F, G = shape_table(spec.bc, m, n, nq)
+            f"needs {need} Gauss nodes per axis, over the {MAX_GAUSS_NODES}-node limit")
+    F, G = shape_table(spec.bc, m, n, int(nq))
     xi = roots_of_unity(m)
     C = eigsys.vectors[:, :k].T.reshape(k, n, n)
     for t in range(MAX_DIRECTIONS):

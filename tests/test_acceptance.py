@@ -146,7 +146,7 @@ def test_08_gradient_energy_interpolation_suite():
 
     for m in (1, 2):
         F, _ = shape_table(BC_DIRICHLET, m + 1, 3, 2 * m + 5)
-        for A in h0_sample_coeffs(m, 50, seed=1729):
+        for A in h0_sample_coeffs(50, seed=1729):
             mid = gradient_energy(A, F, m)
             bound = sqrt(gradient_energy(A, F, m + 1) * gradient_energy(A, F, m - 1))
             assert mid <= bound * (1.0 + 1e-12)

@@ -278,7 +278,6 @@ def test_indefinite_mass_matrix_is_numerical_error(monkeypatch, capsys):
         return F, G
 
     monkeypatch.setattr(galerkin, "shape_table", indefinite_mass)
-    galerkin._solved_blocks.cache_clear()
     code, out, err = run_cli(capsys, "spectrum2d", "--m", "3", "--bc", "dirichlet",
                              "--n", "12", "--count", "20")
     assert code == 3 and out == ""
@@ -618,6 +617,31 @@ def test_claim_edge_configs_are_refused(capsys, claim, edge):
         assert "k=1 on the 1 x 0.001 rectangle" in msg and "256-node limit" in msg, msg
         return
     assert any(s in msg for s in ("trusted capacity", "supported cap")), msg
+
+
+def test_square_domain_flag_sets_ly_to_lx(capsys):
+    # --domain square forces ly = lx, over an explicit --ly as well
+    args = ("verify", "theorem", "--m", "1", "--n", "12", "--k-max", "3", "--stable-output")
+    code, square, err = run_cli(capsys, *args, "--domain", "square", "--lx", "2")
+    assert code == 0 and err == ""
+    assert json.loads(square)["claims"][0]["config"]["domain"]["ly"] == 2
+    _, explicit, _ = run_cli(capsys, *args, "--lx", "2", "--ly", "2")
+    assert square == explicit
+    _, overridden, _ = run_cli(capsys, *args, "--domain", "square", "--lx", "2", "--ly", "3")
+    assert overridden == square
+
+
+@pytest.mark.parametrize("m, lx", [("1", "1e308"), ("2", "1e308"), ("3", "1e308"),
+                                   ("1", "1e300")])
+def test_chain_wave_on_a_huge_side_is_refused(capsys, m, lx):
+    # at 1e308 the wave count overflows: refused with exit 2, not raised as
+    # OverflowError (exit 1, the code of a failed claim); at 1e300 the need
+    # of about 2e300 nodes is stated in a few digits
+    code, out, err = run_cli(capsys, "verify", "chain", "--m", m, "--n", "8", "--k-max", "1",
+                             "--lx", lx, "--stable-output")
+    assert code == 2 and out == ""
+    msg = _one_line_error(err)["error"]
+    assert "256-node limit" in msg and len(msg) < 200, msg
 
 
 @pytest.mark.parametrize("args", [("--n", "28"), ("--n", "5", "--k-max", "3")],

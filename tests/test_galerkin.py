@@ -71,7 +71,7 @@ def test_shape_table_grams_are_exactly_symmetric():
 
 def test_pencil_shapes_and_definiteness():
     for m, bc in ((1, BC_DIRICHLET), (2, BC_NEUMANN)):
-        blocks = _solved_blocks(m, bc, 6, SQUARE, True)
+        blocks = _solved_blocks(m, bc, 6, SQUARE, 1, True)
         assert len(blocks) == 4
         npt.assert_array_equal(np.sort(np.concatenate([b.index for b in blocks])),
                                np.arange(36))
@@ -102,7 +102,7 @@ def test_parity_blocks_match_full_pencil():
                 # the blocks drop is quadrature rounding of entries that vanish
                 # exactly
                 kept = np.zeros_like(A, dtype=bool)
-                for blk in _solved_blocks(m, bc, n, dom, True):
+                for blk in _solved_blocks(m, bc, n, dom, 1, True):
                     ix = np.ix_(blk.index, blk.index)
                     W = np.kron(blk.back_x, blk.back_y)
                     npt.assert_allclose(W.T @ A[ix] @ W @ blk.Y, blk.Y * blk.w,
@@ -112,6 +112,13 @@ def test_parity_blocks_match_full_pencil():
                 assert np.abs(B[~kept]).max() < 1e-13 * np.abs(B).max()
 
                 sys = solve_2d_eigensystem(m, bc, n, dom, count=cap)
+                # the values are an immutable tuple; the vectors are the caller's own array
+                assert isinstance(sys.spectrum.values, tuple)
+                assert sys.vectors.flags.writeable
+                # a smaller count returns the leading pairs of the same solve
+                small = solve_2d_eigensystem(m, bc, n, dom, count=5)
+                npt.assert_array_equal(small.spectrum.values, sys.spectrum.values[:5])
+                npt.assert_array_equal(small.vectors, sys.vectors[:, :5])
                 w_full = pencil_eigenvalues(A, B)
                 ref = sys.spectrum.values[sys.spectrum.zero_count]
                 npt.assert_allclose(sys.spectrum.values, w_full[:cap], rtol=1e-9, atol=1e-9 * ref)
@@ -134,7 +141,7 @@ def test_block_matrix_is_the_kronecker_sum_of_whitened_grams():
             F, G = shape_table(bc, m, n, n + 2 * m + 2)
             parity = [np.arange(p, n, 2) for p in (0, 1)]
             for (px, py), blk in zip(galerkin.PARITY_BLOCKS,
-                                     _solved_blocks(m, bc, n, dom, True)):
+                                     _solved_blocks(m, bc, n, dom, 1, True)):
                 Rx, _ = galerkin._reduced_axis(G[0], F, parity[px], 2.0 / dom.lx)
                 Ry, _ = galerkin._reduced_axis(G[0], F, parity[py], 2.0 / dom.ly)
                 ref = sum(comb(m, a) * np.kron(Rx[a], Ry[m - a]) for a in range(m + 1))
@@ -148,43 +155,15 @@ def test_oversized_pencil_refused_before_assembly(monkeypatch):
         raise AssertionError("assembly started")
 
     monkeypatch.setattr(galerkin, "shape_table", no_assembly)
-    galerkin._solved_blocks.cache_clear()
     with pytest.raises(CapabilityError, match="pencil dimension 2601 exceeds the supported cap 2500"):
         solve_2d_eigensystem(1, BC_DIRICHLET, 51, SQUARE, count=1)
     with pytest.raises(AssertionError, match="assembly started"):
         solve_2d_eigensystem(1, BC_DIRICHLET, 50, SQUARE, count=1)
 
 
-def test_repeated_solve_reuses_block_eigenpairs(monkeypatch):
-    # a second solve of one pencil at a larger count solves no block and
-    # returns fresh arrays whose leading columns equal the first solve's
-    solved = []
-    eig = galerkin.hermitian_eig
-
-    def counted(C, vectors):
-        solved.append(C.shape)
-        return eig(C, vectors)
-
-    monkeypatch.setattr(galerkin, "hermitian_eig", counted)
-    galerkin._solved_blocks.cache_clear()
-    dom = Domain.rectangle(1.0, 0.7)
-    small = solve_2d_eigensystem(2, BC_NEUMANN, 10, dom, count=5)
-    assert len(solved) == 4
-    large = solve_2d_eigensystem(2, BC_NEUMANN, 10, dom, count=12)
-    assert len(solved) == 4
-    npt.assert_array_equal(large.spectrum.values[:5], small.spectrum.values)
-    npt.assert_array_equal(large.vectors[:, :5], small.vectors)
-    # the values are an immutable tuple; the vectors are the caller's own array
-    assert isinstance(large.spectrum.values, tuple)
-    assert large.vectors.flags.writeable
-    for blk in galerkin._solved_blocks(2, BC_NEUMANN, 10, dom, True):
-        for arr in (blk.index, blk.back_x, blk.back_y, blk.w, blk.Y):
-            assert not arr.flags.writeable
-
-
 def test_spectrum_solve_forms_no_eigenvector(monkeypatch):
     # solve_2d_spectrum runs one values-only solve per block and no eigh, and
-    # its cache entries are the read-only block values alone
+    # each block comes back as its values alone
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -197,14 +176,12 @@ def test_spectrum_solve_forms_no_eigenvector(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", no_vectors)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    galerkin._solved_blocks.cache_clear()
     dom = Domain.rectangle(1.0, 0.7)
     spec = solve_2d_spectrum(2, BC_NEUMANN, 10, dom, count=12)
     assert solved == [(25, 25)] * 4
     assert len(spec.values) == 12
-    blocks = galerkin._solved_blocks(2, BC_NEUMANN, 10, dom, False)
+    blocks = galerkin._solved_blocks(2, BC_NEUMANN, 10, dom, 12, False)
     assert [w.shape for w in blocks] == [(25,)] * 4
-    assert not any(w.flags.writeable for w in blocks)
     with pytest.raises(AssertionError, match="eigenvector solve"):
         solve_2d_eigensystem(2, BC_NEUMANN, 10, dom, count=12)
 
@@ -223,7 +200,7 @@ def test_spectrum_values_match_eigensystem():
                     values = solve_2d_spectrum(m, bc, n, dom, count=cap)
                     pairs = solve_2d_eigensystem(m, bc, n, dom, count=cap).spectrum
                     assert values.zero_count == pairs.zero_count
-                    w_max = max(np.abs(w).max() for w in _solved_blocks(m, bc, n, dom, False))
+                    w_max = max(np.abs(w).max() for w in _solved_blocks(m, bc, n, dom, 1, False))
                     npt.assert_allclose(values.values, pairs.values, rtol=0,
                                         atol=16 * eps * w_max, err_msg=str((dom, m, bc, n)))
 

@@ -31,6 +31,23 @@ def test_rectangle_enumeration_matches_brute_force(bc, lx, ly):
     npt.assert_allclose(square_laplacian_eigs(bc, 40, lx, ly), brute[:40], rtol=1e-14)
 
 
+def test_long_rectangle_enumeration_stays_small(monkeypatch):
+    # each axis is capped at count entries before any conversion to int: a
+    # 1e12 x 1 rectangle enumerates 8 x 3 pairs, not 1e12 values of p
+    arange = np.arange
+
+    def short_arange(*args, **kwargs):
+        start, stop = (0, args[0]) if len(args) == 1 else args[:2]
+        assert stop - start <= 64, f"range of {stop - start} entries"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", short_arange)
+    lx = 1e12
+    values = square_laplacian_eigs(BC_DIRICHLET, 8, lx, 1.0)
+    p = arange(1, 9)
+    npt.assert_allclose(values, np.pi ** 2 * (p * p / lx ** 2 + 1.0), rtol=1e-15)
+
+
 def test_polynomial_energy_hand_case():
     # u = (1-x^2)(1-y^2) on the reference square; 1 - t^2 = (2/3) P_0 - (2/3) P_2
     F, _ = galerkin.shape_table(BC_NEUMANN, 2, 3, 6)
@@ -49,7 +66,7 @@ def _sample_table(m):
 def test_laplacian_power_identity_on_samples():
     for m in (1, 2, 3):
         F = _sample_table(m)
-        for A in h0_sample_coeffs(m, 5, seed=7):
+        for A in h0_sample_coeffs(5, seed=7):
             a = gradient_energy(A, F, m)
             b = laplacian_power_energy(A, F, m)
             npt.assert_allclose(b, a, rtol=1e-11)
@@ -58,7 +75,7 @@ def test_laplacian_power_identity_on_samples():
 def test_energies_accept_coefficient_stacks():
     for m in (1, 2, 3):
         F = _sample_table(m)
-        stack = h0_sample_coeffs(m, 5, seed=11)
+        stack = h0_sample_coeffs(5, seed=11)
         assert stack.shape == (5, 3, 3)
         for j in (m - 1, m, m + 1):
             npt.assert_allclose(gradient_energy(stack, F, j),
@@ -169,18 +186,18 @@ def test_suite_deterministic_across_worker_counts():
     assert [r.as_json() for r in first] == [r.as_json() for r in again]
 
 
-def test_suite_assembles_each_distinct_pencil_once(monkeypatch):
+def test_suite_solves_take_the_path_they_need(monkeypatch):
     # the suite's 16 rectangle solves cover 11 distinct pencils.  Only the
-    # chain certificate needs eigenvectors, and root-monotonicity reads the
-    # values of the same m=1 and m=2 clamped pencils at n=16, so those two are
-    # solved once on each path: 13 cache misses, 10 values-only and 3
-    # eigenpair, each solving its four parity blocks once
+    # chain certificate needs eigenvectors: its 3 solves take the eigenpair
+    # path and the other 13 the values-only path, each solving its four parity
+    # blocks, so 52 eigvalsh and 12 eigh block solves.  root-monotonicity reads
+    # the values of the chain's m=1 and m=2 clamped pencils at n=16
     keys, solved = [], []
-    cached, eig = galerkin._solved_blocks, galerkin.hermitian_eig
+    blocks, eig = galerkin._solved_blocks, galerkin.hermitian_eig
 
-    def recorded(*key):
-        keys.append(key)
-        return cached(*key)
+    def recorded(m, bc, n, domain, count, vectors):
+        keys.append((m, bc, n, domain, vectors))
+        return blocks(m, bc, n, domain, count, vectors)
 
     def counted(C, vectors):
         solved.append(vectors)
@@ -188,14 +205,14 @@ def test_suite_assembles_each_distinct_pencil_once(monkeypatch):
 
     monkeypatch.setattr(galerkin, "_solved_blocks", recorded)
     monkeypatch.setattr(galerkin, "hermitian_eig", counted)
-    cached.cache_clear()
     run_suite(_cfg())
-    info = cached.cache_info()
-    assert len(keys) == info.hits + info.misses == 16
-    assert info.misses == len(set(keys)) == 13
+    assert len(keys) == 16
+    assert [key[4] for key in keys].count(False) == 13
     assert len({key[:4] for key in keys}) == 11
-    both = ({key[:4] for key in keys if key[4]}
-            & {key[:4] for key in keys if not key[4]})
+    pairs = {key[:4] for key in keys if key[4]}
+    assert pairs == {(m, BC_DIRICHLET, n, Domain.rectangle())
+                     for m, n in ((1, 16), (2, 16), (3, 12))}
+    both = pairs & {key[:4] for key in keys if not key[4]}
     assert both == {(m, BC_DIRICHLET, 16, Domain.rectangle()) for m in (1, 2)}
-    assert solved.count(False) == 40
+    assert solved.count(False) == 52
     assert solved.count(True) == 12

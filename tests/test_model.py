@@ -37,7 +37,7 @@ def test_domain_shapes():
     assert rect.as_json() == {"shape": "rectangle", "lx": 1.0, "ly": 3.0}
     with pytest.raises(InvalidArgumentError):
         Domain.rectangle(-1.0, 1.0)
-    # records are immutable and hash by value, which the solve cache keys on
+    # records are immutable and hash by value
     with pytest.raises(AttributeError):
         rect.lx = 2.0
     assert Domain.rectangle(1.0, 3.0) == rect

@@ -115,7 +115,6 @@ def test_chain_certificate_builds_shape_factors_once_per_rule(monkeypatch):
 
     monkeypatch.setattr(galerkin, "shape_derivatives", counted)
     galerkin.shape_table.cache_clear()
-    galerkin._solved_blocks.cache_clear()
     for _ in range(2):
         sysd = solve_2d_eigensystem(2, "dirichlet", 12, SQUARE, count=5)
     rules = {("dirichlet", 2, 12, 12 + 2 * 2 + 2)}
@@ -135,7 +134,7 @@ def _grid_reference_forms(eigsys, k, omega):
     spec = eigsys.spectrum
     m, n = spec.m, spec.method.n_per_axis
     lx, ly = spec.domain.lx, spec.domain.ly
-    nq = trialspace._chain_quad_floor(n, float(np.hypot(*omega)), max(lx, ly))
+    nq = int(trialspace._chain_quad_floor(n, float(np.hypot(*omega)), max(lx, ly)))
     t, w = gauss_legendre(nq)
     xq, wxq = 0.5 * lx * (t + 1.0), 0.5 * lx * w
     yq, wyq = 0.5 * ly * (t + 1.0), 0.5 * ly * w
