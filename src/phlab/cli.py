@@ -102,7 +102,7 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     flag_layer = {k: getattr(ns, k) for k in CONFIG_DEFAULTS}
     cfg = validate_config(file_layer, flag_layer)
     if ns.domain == "square":
-        cfg = cfg.with_overrides(ly=cfg.lx)
+        cfg = cfg._replace(ly=cfg.lx)
     return cfg
 
 

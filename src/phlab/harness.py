@@ -554,7 +554,7 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
     """
     by_id: dict[str, list[VerificationReport]] = {}
     for cid, ov in SUITE_JOBS:
-        by_id.setdefault(cid, []).append(CLAIMS[cid].build(cfg.with_overrides(**ov)))
+        by_id.setdefault(cid, []).append(CLAIMS[cid].build(cfg._replace(**ov)))
     merged = []
     for cid in sorted(by_id):
         parts = by_id[cid]

@@ -170,10 +170,6 @@ class Spectrum(namedtuple("Spectrum", "m bc domain method values tol",
     def trusted_count(self) -> int:
         return len(self.values)
 
-    @property
-    def zero_count(self) -> int:
-        return n_poly_dim(self.domain.dimension, self.m) if self.bc == BC_NEUMANN else 0
-
     def value(self, k: int) -> float:
         """1-based eigenvalue access, restricted to the trusted range."""
         if not (1 <= k <= self.trusted_count):
@@ -291,9 +287,6 @@ class RunConfig(namedtuple("RunConfig",
     """A validated configuration, tolerances in tol; bc is None when none was given."""
 
     __slots__ = ()
-
-    def with_overrides(self, **kv) -> "RunConfig":
-        return self._replace(**kv)
 
 
 def validate_config(*layers: dict) -> RunConfig:

@@ -15,7 +15,8 @@ discrete clamped eigenfunctions yields a (k+m)-dimensional space W on which
 the largest Rayleigh quotient can be computed and certified against the k-th
 clamped eigenvalue; together with the counting argument this is the
 mechanism that separates the shifted free eigenvalues from the clamped ones
-in two dimensions.
+in two dimensions.  Any omega of length lambda_hat_k^(1/(2m)) serves; the
+certificate points it along the rectangle's shorter side.
 
 Every W basis function is a sum of products f(x) g(y), and the forms on W
 are sums over the product of two 1d Gauss rules, so they are assembled from
@@ -33,18 +34,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import product as iter_product
-from math import comb, isfinite
+from math import ceil, comb
 
 import numpy as np
 
 from .galerkin import Eigensystem2D, shape_table
-from .linalg import MAX_GAUSS_NODES, gauss_legendre, hermitian_eig, mass_whitener
+from .linalg import gauss_legendre, hermitian_eig, mass_whitener
 from .model import (BC_DIRICHLET, CapabilityError, GramDegeneracyError, InvalidArgumentError,
                     NumericalError)
 
-GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 GRAM_SV_FLOOR = 1e-8  # a combined basis at or below this is not (k+m)-dimensional
-MAX_DIRECTIONS = 64
 
 
 def roots_of_unity(m: int) -> np.ndarray:
@@ -103,16 +102,6 @@ def vandermonde_check(zetas) -> float:
 
 # ---------------------------------------------------------------------------
 # combined space W = span(u_1..u_k) + V_omega on the rectangle
-
-
-def _chain_quad_floor(n: int, radius: float, lmax: float) -> float:
-    """Per-axis node floor n + 2 ceil(|omega| L / pi) + 10: resolves the wave.
-
-    A float, inf where it overflows, so that it is compared with
-    MAX_GAUSS_NODES before it is taken as an int.
-    """
-    with np.errstate(over="ignore"):
-        return float(n + 2.0 * np.ceil(radius * lmax / np.pi) + 10)
 
 
 def _axis_forms(F: np.ndarray, Gref: np.ndarray, length: float, freq: float,
@@ -185,24 +174,27 @@ class ChainCertificate(namedtuple("ChainCertificate",
 def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
     """Assemble the (k+m) x (k+m) forms on W and bound its Rayleigh quotient.
 
-    The direction walks theta_t = t * pi (3 - sqrt(5)) at radius
-    lambda_hat_k^(1/(2m)), and the first omega whose normalized combined
-    basis keeps its Gram's smallest singular value above GRAM_SV_FLOOR is
-    certified.  Failing MAX_DIRECTIONS well-spread angles would contradict
-    the genericity of the construction, so that is reported as a Gram
-    degeneracy, not retried.
+    omega has length lambda_hat_k^(1/(2m)) and points along the shorter side,
+    so a combination of waves depends on that coordinate alone.  The clamped
+    eigenvectors vanish on the two sides parallel to omega, so such a
+    combination in their span vanishes everywhere, and the combined basis is
+    (k+m)-dimensional; a normalized Gram whose smallest singular value is at
+    or below GRAM_SV_FLOOR means the discrete eigenvectors are suspect and is
+    reported as a Gram degeneracy.  One Gauss rule of
+    n + 2 ceil(|omega| s / pi) + 10 nodes per axis, s the shorter side,
+    resolves the wave.  Since lambda_hat_k(lx, ly) <= lambda_hat_k(s, s) by
+    min-max, |omega| s and so the rule are never larger than on a square.
 
     The clamped eigenvectors are exact members of the essential-condition
     space, so all stiffness cross terms are plain integrals of order-m
     gradient contractions; no boundary terms arise.  Both forms are sums over
     a tensor Gauss rule and are assembled by axis (see _chain_form), which
-    equals the sum over the 2d grid in exact arithmetic.  Both are checked
-    Hermitian to rounding and replaced by their Hermitian parts; the
-    whitener T of the mass (see linalg.mass_whitener) turns the pencil into
-    the standard problem T S T^H, whose largest eigenvalue the certificate
-    records with the combined basis conditioning.
-    A rule past MAX_GAUSS_NODES, which a long thin rectangle needs at large
-    lambda_hat_k, is refused with CapabilityError before any table is built.
+    equals the sum over the 2d grid in exact arithmetic.  Forms that overflow,
+    as on a side near the largest double, are refused with CapabilityError.
+    Both are checked Hermitian to rounding and replaced by their Hermitian
+    parts; the whitener T of the mass (see linalg.mass_whitener) turns the
+    pencil into the standard problem T S T^H, whose largest eigenvalue the
+    certificate records with the combined basis conditioning.
     """
     spec = eigsys.spectrum
     if spec.bc != BC_DIRICHLET:
@@ -210,35 +202,28 @@ def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
     m, dom, n = spec.m, spec.domain, spec.method.n_per_axis
     lambda_hat = spec.value(k)  # refuses k outside 1..count
     r = lambda_hat ** (1.0 / (2 * m))
-    nq = _chain_quad_floor(n, r, max(dom.lx, dom.ly))
-    if nq > MAX_GAUSS_NODES:
-        need = f"{nq:.4g}" if isfinite(nq) else "over 1.8e308"
-        raise CapabilityError(
-            f"the chain certificate for k={k} on the {dom.lx:g} x {dom.ly:g} rectangle "
-            f"needs {need} Gauss nodes per axis, over the {MAX_GAUSS_NODES}-node limit")
-    F, G = shape_table(spec.bc, m, n, int(nq))
+    omega = np.array([r, 0.0]) if dom.lx <= dom.ly else np.array([0.0, r])
+    F, G = shape_table(spec.bc, m, n, n + 2 * ceil(r * min(dom.lx, dom.ly) / np.pi) + 10)
     xi = roots_of_unity(m)
     C = eigsys.vectors[:, :k].T.reshape(k, n, n)
-    for t in range(MAX_DIRECTIONS):
-        theta = t * GOLDEN_ANGLE
-        omega = np.array([r * np.cos(theta), r * np.sin(theta)])
-        x = _axis_forms(F, G, dom.lx, omega[0], xi)
-        y = _axis_forms(F, G, dom.ly, omega[1], xi)
-        M = _chain_form(C, x, y, np.ones(1), np.ones((1, m)))
-        gram_min_sv = _normalized_gram_min_sv(M)
-        if gram_min_sv > GRAM_SV_FLOOR:
-            break
-    else:
-        raise GramDegeneracyError(
-            f"no direction out of {MAX_DIRECTIONS} golden-angle candidates gave a combined "
-            f"basis Gram smallest singular value above {GRAM_SV_FLOOR:g}; the discrete "
-            f"eigenvectors are suspect"
-        )
     a = np.arange(m + 1)
     # d_x^a d_y^(m-a) multiplies wave j by (i xi_j)^m omega_x^a omega_y^(m-a)
     c = (omega[0] ** a * omega[1] ** (m - a))[:, None] * (1j * xi) ** m
     beta = np.array([comb(m, b) for b in a], dtype=float)
-    S = _chain_form(C, x, y, beta, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _axis_forms(F, G, dom.lx, omega[0], xi)
+        y = _axis_forms(F, G, dom.ly, omega[1], xi)
+        M = _chain_form(C, x, y, np.ones(1), np.ones((1, m)))
+        S = _chain_form(C, x, y, beta, c)
+    if not (np.isfinite(M).all() and np.isfinite(S).all()):
+        raise CapabilityError(
+            f"the chain certificate's forms for k={k} on the {dom.lx:g} x {dom.ly:g} "
+            f"rectangle overflow double precision")
+    gram_min_sv = _normalized_gram_min_sv(M)
+    if gram_min_sv <= GRAM_SV_FLOOR:
+        raise GramDegeneracyError(
+            f"the combined basis Gram's smallest singular value {gram_min_sv:.3e} is not "
+            f"above {GRAM_SV_FLOOR:g}; the discrete eigenvectors are suspect")
     S, M = _hermitian_part(S), _hermitian_part(M)
     T = mass_whitener(M)
     w = hermitian_eig(T @ S @ T.conj().T, vectors=False)

@@ -596,15 +596,14 @@ def test_tol_zero_of_one_or_more_is_refused(capsys, argv, text):
 
 
 EDGE_CLAIMS = ("theorem", "weak", "zero-modes", "monotonicity", "convex", "conjecture", "chain")
+# a count past the trusted capacity, a grid past the supported cap or below
+# the smallest, and an m=3 grid with no interior shape
 EDGE_ARGS = {"k_max": ("--k-max", "2000"), "n51": ("--n", "51"), "n2": ("--n", "2"),
-             "m3n3": ("--m", "3", "--n", "3"),
-             # the chain certificate's wave needs 2028 Gauss nodes per axis at k=1
-             "thin": ("--m", "1", "--n", "16", "--k-max", "3", "--ly", "1e-3")}
-EDGE_CASES = [(claim, edge) for claim in EDGE_CLAIMS for edge in sorted(EDGE_ARGS)
-              if edge != "thin" or claim == "chain"]
+             "m3n3": ("--m", "3", "--n", "3")}
 
 
-@pytest.mark.parametrize("claim, edge", EDGE_CASES)
+@pytest.mark.parametrize("edge", sorted(EDGE_ARGS))
+@pytest.mark.parametrize("claim", EDGE_CLAIMS)
 def test_claim_edge_configs_are_refused(capsys, claim, edge):
     # each is refused by config validation or the solver; zero-modes has no k_max
     code, out, err = run_cli(capsys, "verify", claim, *EDGE_ARGS[edge], "--stable-output")
@@ -613,10 +612,21 @@ def test_claim_edge_configs_are_refused(capsys, claim, edge):
         return
     assert code == 2 and out == ""
     msg = _one_line_error(err)["error"]
-    if edge == "thin":
-        assert "k=1 on the 1 x 0.001 rectangle" in msg and "256-node limit" in msg, msg
-        return
     assert any(s in msg for s in ("trusted capacity", "supported cap")), msg
+
+
+@pytest.mark.parametrize("side", [("--ly", "1e-3"), ("--ly", "0.05"), ("--lx", "100"),
+                                  ("--lx", "1e4"), ("--lx", "0.3")],
+                         ids=["ly1e-3", "ly0.05", "lx100", "lx1e4", "lx0.3"])
+@pytest.mark.parametrize("m", ["1", "2", "3"])
+def test_chain_certifies_thin_rectangles(capsys, m, side):
+    # the wave runs along the shorter side and its rule is sized by that side,
+    # so a thin or long rectangle needs no more Gauss nodes than the square
+    n = "14" if m == "3" else "16"
+    code, out, err = run_cli(capsys, "verify", "chain", "--m", m, "--n", n, "--k-max", "12",
+                             *side, "--stable-output")
+    assert code == 0 and err == ""
+    assert json.loads(out)["passed"] is True
 
 
 def test_square_domain_flag_sets_ly_to_lx(capsys):
@@ -631,17 +641,33 @@ def test_square_domain_flag_sets_ly_to_lx(capsys):
     assert overridden == square
 
 
+def _chain_on_a_huge_side(capsys, m, lx):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(capsys, "verify", "chain", "--m", m, "--n", "8", "--k-max", "1",
+                         "--lx", lx, "--stable-output")
+    assert caught == []
+    return result
+
+
 @pytest.mark.parametrize("m, lx", [("1", "1e308"), ("2", "1e308"), ("3", "1e308"),
-                                   ("1", "1e300")])
+                                   ("3", "1e300")])
 def test_chain_wave_on_a_huge_side_is_refused(capsys, m, lx):
-    # at 1e308 the wave count overflows: refused with exit 2, not raised as
-    # OverflowError (exit 1, the code of a failed claim); at 1e300 the need
-    # of about 2e300 nodes is stated in a few digits
-    code, out, err = run_cli(capsys, "verify", "chain", "--m", m, "--n", "8", "--k-max", "1",
-                             "--lx", lx, "--stable-output")
+    # forms that overflow double precision are refused with exit 2 and no
+    # warning, not certified on NaN entries (exit 1, the code of a failed claim)
+    code, out, err = _chain_on_a_huge_side(capsys, m, lx)
     assert code == 2 and out == ""
     msg = _one_line_error(err)["error"]
-    assert "256-node limit" in msg and len(msg) < 200, msg
+    assert "overflow" in msg and len(msg) < 200, msg
+
+
+@pytest.mark.parametrize("m, lx", [("1", "1e300"), ("2", "1e300"), ("1", "1e200"),
+                                   ("2", "1e200"), ("3", "1e200")])
+def test_chain_wave_on_a_huge_side_is_certified(capsys, m, lx):
+    # the wave runs along the unit side, and the forms stay finite
+    code, out, err = _chain_on_a_huge_side(capsys, m, lx)
+    assert code == 0 and err == ""
+    assert json.loads(out)["passed"] is True
 
 
 @pytest.mark.parametrize("args", [("--n", "28"), ("--n", "5", "--k-max", "3")],

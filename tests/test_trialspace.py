@@ -1,13 +1,14 @@
 from itertools import product
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from phlab import galerkin, trialspace
-from phlab.galerkin import shape_derivatives, solve_2d_eigensystem
-from phlab.linalg import gauss_legendre
+from phlab.galerkin import (Eigensystem2D, shape_derivatives, solve_2d_eigensystem,
+                            solve_2d_spectrum, trusted_capacity)
+from phlab.linalg import MAX_GAUSS_NODES, gauss_legendre
 from phlab.model import (BC_NEUMANN, Domain, GramDegeneracyError, InvalidArgumentError,
                          NumericalError)
 from phlab.trialspace import (_hermitian_part, certified_chain_bound, roots_of_unity,
@@ -120,21 +121,46 @@ def test_chain_certificate_builds_shape_factors_once_per_rule(monkeypatch):
     rules = {("dirichlet", 2, 12, 12 + 2 * 2 + 2)}
     for k in range(1, 6):
         cert = certified_chain_bound(k, sysd)
-        rules.add(("dirichlet", 2, 12,
-                   trialspace._chain_quad_floor(12, np.hypot(*cert.omega), 1.0)))
+        rules.add(("dirichlet", 2, 12, 12 + 2 * ceil(np.hypot(*cert.omega) / np.pi) + 10))
     assert sorted(calls) == sorted(rules)
+
+
+@pytest.mark.parametrize("ly", [1.0, 0.5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_chain_rule_fits_the_node_limit_at_full_capacity(m, ly, monkeypatch):
+    # the rule is sized by the shorter side, on which lambda_hat_k is at most
+    # the square's, so even the largest trusted value needs no more than
+    # MAX_GAUSS_NODES nodes per axis; the rule is read where the certificate
+    # builds its table, before any eigenvector is touched
+    spec = solve_2d_spectrum(m, "dirichlet", 50, Domain.rectangle(1.0, ly),
+                             count=trusted_capacity(50))
+    rules = []
+
+    class RuleRead(Exception):
+        pass
+
+    def read_rule(bc, m, n, nq):
+        rules.append(nq)
+        raise RuleRead
+
+    monkeypatch.setattr(trialspace, "shape_table", read_rule)
+    with pytest.raises(RuleRead):
+        certified_chain_bound(spec.trusted_count, Eigensystem2D(spectrum=spec, vectors=None))
+    assert rules[0] <= MAX_GAUSS_NODES
 
 
 def _grid_reference_forms(eigsys, k, omega):
     """S and M of the chain certificate from full tensor grids of the W basis.
 
     Every basis function and each of its order-m mixed partials is evaluated
-    on the nq x nq tensor Gauss rule and the 2d sums are taken directly.
+    on the nq x nq tensor Gauss rule and the 2d sums are taken directly.  The
+    rule is sized by the longer side, so on a rectangle it is finer than the
+    certificate's and a match also shows that the shorter-side rule suffices.
     """
     spec = eigsys.spectrum
     m, n = spec.m, spec.method.n_per_axis
     lx, ly = spec.domain.lx, spec.domain.ly
-    nq = int(trialspace._chain_quad_floor(n, float(np.hypot(*omega)), max(lx, ly)))
+    nq = n + 2 * ceil(np.hypot(*omega) * max(lx, ly) / np.pi) + 10
     t, w = gauss_legendre(nq)
     xq, wxq = 0.5 * lx * (t + 1.0), 0.5 * lx * w
     yq, wyq = 0.5 * ly * (t + 1.0), 0.5 * ly * w
@@ -211,7 +237,6 @@ def test_chain_certificate_preconditions():
 
 def test_chain_gram_degeneracy_detected():
     # duplicating an eigenvector in the basis must trip the conditioning gate
-    # in every direction tried
     sysd = solve_2d_eigensystem(1, "dirichlet", 8, SQUARE, count=2)
     V = sysd.vectors.copy()
     V[:, 1] = V[:, 0]
