@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -374,24 +375,38 @@ ONED_RUNS = [["oned", "--m", str(m), "--bc", bc, "--count", "8", *fmt]
              for fmt in (["--stable-output"], ["--format", "csv"])]
 
 
+@functools.cache
+def _not_loaded_by_numpy():
+    # numpy 1.x loads numpy.random and numpy.polynomial in `import numpy`
+    # itself; a phlab command must load neither when numpy does not
+    proc = subprocess.run([sys.executable, "-c", "import sys, numpy; print(*sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    return [n for n in ("numpy.polynomial", "numpy.random") if n not in loaded]
+
+
 @pytest.mark.parametrize("argv, layers_run", [
     (["oned", "--m", "2", "--bc", "neumann", "--count", "5"], ["model", "oned"]),
     (["spectrum2d", "--m", "2", "--bc", "neumann", "--n", "10"],
      ["galerkin", "linalg", "model"]),
     (["verify", "interpolation", "--m", "2", "--count", "5"], ALL_LAYERS),
     (["verify", "chain", "--m", "2", "--n", "12", "--k-max", "3"], ALL_LAYERS),
-], ids=["oned", "spectrum2d", "interpolation", "chain"])
+    (["all"], ALL_LAYERS),
+], ids=["oned", "spectrum2d", "interpolation", "chain", "all"])
 def test_commands_do_not_load_scipy(capsys, argv, layers_run):
     # a layer that has not run yet keeps the lazy loader's module subclass;
     # oned runs on the standard library alone, so it does not load numpy
     # either.  It runs under -S, so that no .pth hook of site-packages loads
     # modules first, and its records load neither dataclasses nor typing.
+    # The seeded samples come from the standard library's random, so no
+    # command loads numpy.random.
     numpy_free = argv[0] == "oned"
     code = ("import sys, types\n"
             "from phlab.cli import main\n"
             f"assert main({argv!r} + ['--stable-output', '--out', {os.devnull!r}]) == 0\n"
             "assert 'scipy' not in sys.modules\n"
-            "assert 'numpy.polynomial' not in sys.modules\n"
+            f"for name in {_not_loaded_by_numpy()!r}:\n"
+            "    assert name not in sys.modules, name\n"
             "assert 'dataclasses' not in sys.modules\n"
             + ("for name in ('numpy', 'inspect', 'typing'):\n"
                "    assert name not in sys.modules, name\n" if numpy_free else "")

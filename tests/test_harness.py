@@ -84,6 +84,27 @@ def test_energies_accept_coefficient_stacks():
                             [laplacian_power_energy(A, F, m) for A in stack], rtol=1e-14)
 
 
+def test_sample_stream_is_pinned():
+    # random.Random(seed).random() keeps its stream across Python versions,
+    # so these literals hold on every supported interpreter and numpy
+    stack = h0_sample_coeffs(2, seed=1729)
+    assert stack.shape == (2, 3, 3)
+    assert stack[0].tolist() == [
+        [0.9927447535655338, 0.7696401930596293, -0.17840325085366215],
+        [-0.08456101760778467, 0.3344688126172908, -0.6349617709516573],
+        [-0.4156482291235841, -0.27381341347355015, 0.734291945192519]]
+    assert stack[1, 0].tolist() == [-0.5846973369058732, 0.6579895750179614,
+                                     -0.6879415981506207]
+
+
+def test_sample_stream_is_drawn_in_sample_order():
+    for seed in (0, 3, 1729):
+        npt.assert_array_equal(h0_sample_coeffs(5, seed), h0_sample_coeffs(50, seed)[:5])
+    stack = h0_sample_coeffs(1000, seed=1729)
+    assert stack.min() >= -1.0 and stack.max() < 1.0
+    assert not np.array_equal(stack, h0_sample_coeffs(1000, seed=1730))
+
+
 def test_interpolation_claim_records():
     rep = run_claim("interpolation", _cfg(m=2, count=12, seed=3))
     assert rep.passed
