@@ -1,9 +1,11 @@
 """Dense numerical kernels: quadrature, Legendre evaluation, eigensolves.
 
-Everything here works on plain ndarrays and needs numpy only.  A Hermitian
+Everything here works on plain ndarrays and needs numpy only.  A symmetric
 positive definite mass matrix is reduced to the identity by a whitener
 (diagonal rescale, Cholesky factor, one solve), which turns a generalized
-pencil, real or complex, into one standard Hermitian eigenproblem.
+pencil into one standard symmetric eigenproblem.  phlab hands these kernels
+real arrays only; the chain certificate passes the real embeddings of its
+complex Hermitian forms.
 """
 
 from __future__ import annotations

@@ -27,7 +27,10 @@ bc, n and the domain are read from the eigensystem's spectrum.
 
 All derivatives in this module are closed-form; numerical differentiation is
 deliberately absent so identity residuals measure rounding, not truncation.
-Complex arithmetic stays inside this module and linalg's Hermitian kernels.
+The forms are assembled in complex arithmetic, which stays inside this
+module: linalg receives only their real symmetric embeddings, so the
+certificate runs the same real Cholesky, solve and symmetric eigensolve as
+the rectangle solver.
 """
 
 from __future__ import annotations
@@ -151,12 +154,34 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + H)
 
 
+def _real_embedding(X: np.ndarray) -> np.ndarray:
+    """The real symmetric [[Re X, -Im X], [Im X, Re X]] of a Hermitian X.
+
+    Each eigenvalue of X appears twice among those of the embedding, and the
+    embedding of a positive definite X is positive definite, so a Hermitian
+    pencil and its embedding share their eigenvalues.
+    """
+    n = X.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = out[n:, n:] = X.real
+    out[n:, :n] = X.imag
+    out[:n, n:] = -out[n:, :n]
+    return out
+
+
 def _normalized_gram_min_sv(M: np.ndarray) -> float:
-    """Smallest singular value of the Gram M of the L2-normalized basis."""
+    """Smallest singular value of the Hermitian Gram M of the L2-normalized basis.
+
+    The singular values of a Hermitian matrix are the moduli of its
+    eigenvalues, so this is the smallest |eigenvalue| of the normalized
+    Gram's real embedding: a value rounding leaves just below zero counts as
+    a singular value, never as a negative one.
+    """
     d = np.sqrt(np.abs(np.real(np.diag(M))))
     if np.any(d == 0.0):
         return 0.0
-    return float(np.linalg.svd(M / np.outer(d, d), compute_uv=False)[-1])
+    w = hermitian_eig(_real_embedding(M / np.outer(d, d)), vectors=False)
+    return float(np.min(np.abs(w)))
 
 
 class ChainCertificate(namedtuple("ChainCertificate",
@@ -192,9 +217,12 @@ def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
     equals the sum over the 2d grid in exact arithmetic.  Forms that overflow,
     as on a side near the largest double, are refused with CapabilityError.
     Both are checked Hermitian to rounding and replaced by their Hermitian
-    parts; the whitener T of the mass (see linalg.mass_whitener) turns the
-    pencil into the standard problem T S T^H, whose largest eigenvalue the
-    certificate records with the combined basis conditioning.
+    parts, from which the Gram record is taken.  The pencil then goes to
+    linalg as the real embeddings E(S), E(M) (see _real_embedding), which
+    hold each eigenvalue of (S, M) twice: the whitener T of E(M) (see
+    linalg.mass_whitener) turns it into the standard problem T E(S) T^T,
+    whose largest eigenvalue the certificate records with the combined basis
+    conditioning.
     """
     spec = eigsys.spectrum
     if spec.bc != BC_DIRICHLET:
@@ -219,13 +247,13 @@ def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
         raise CapabilityError(
             f"the chain certificate's forms for k={k} on the {dom.lx:g} x {dom.ly:g} "
             f"rectangle overflow double precision")
+    S, M = _hermitian_part(S), _hermitian_part(M)
     gram_min_sv = _normalized_gram_min_sv(M)
     if gram_min_sv <= GRAM_SV_FLOOR:
         raise GramDegeneracyError(
             f"the combined basis Gram's smallest singular value {gram_min_sv:.3e} is not "
             f"above {GRAM_SV_FLOOR:g}; the discrete eigenvectors are suspect")
-    S, M = _hermitian_part(S), _hermitian_part(M)
-    T = mass_whitener(M)
-    w = hermitian_eig(T @ S @ T.conj().T, vectors=False)
+    T = mass_whitener(_real_embedding(M))
+    w = hermitian_eig(T @ _real_embedding(S) @ T.T, vectors=False)
     return ChainCertificate(lambda_hat=lambda_hat, omega=omega, max_rayleigh=float(w[-1]),
                             gram_min_sv=gram_min_sv)

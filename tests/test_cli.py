@@ -701,17 +701,22 @@ def test_verify_output_deterministic(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_chain_records_agree_across_blas_threads(m):
+@pytest.mark.parametrize("m, n, k_max", [pytest.param(2, 16, 4, id="2"),
+                                          pytest.param(3, 16, 4, id="3"),
+                                          pytest.param(1, 24, 6, id="1-n24")])
+def test_chain_records_agree_across_blas_threads(m, n, k_max):
     # k=2 sits on the degenerate level lambda_2 = lambda_3 of the square; its
     # Gram record measures a basis of that eigenspace, which the parity-block
-    # merge fixes independently of rounding
+    # merge fixes independently of rounding.  At m=1, n=24 the level
+    # lambda_5 = lambda_6 is degenerate inside the even-even block, so the
+    # k=5 record measures the basis eigh returns within one block
     docs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-m", "phlab.cli", "verify", "chain",
-                               "--m", str(m), "--n", "16", "--k-max", "4", "--stable-output"],
+                               "--m", str(m), "--n", str(n), "--k-max", str(k_max),
+                               "--stable-output"],
                               env=env, capture_output=True, text=True, check=True)
         docs.append(json.loads(proc.stdout)["claims"][0]["details"])
     one, two = docs

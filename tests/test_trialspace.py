@@ -265,3 +265,30 @@ def test_normalized_gram_min_sv_known():
     M = np.array([[4.0, 2.0], [2.0, 4.0]])
     assert abs(trialspace._normalized_gram_min_sv(M) - 0.5) < 1e-14
     assert trialspace._normalized_gram_min_sv(np.diag([1.0, 0.0])) == 0.0
+    # a complex Hermitian Gram with singular values 3 and 1 normalizes to
+    # [[1, 0.5i], [-0.5i, 1]], with singular values 1.5 and 0.5
+    M = np.array([[2.0, 1j], [-1j, 2.0]])
+    assert abs(trialspace._normalized_gram_min_sv(M) - 0.5) < 1e-14
+    # a singular Gram gives a singular value near 0, never a negative eigenvalue
+    assert 0.0 <= trialspace._normalized_gram_min_sv(np.ones((2, 2))) <= 1e-15
+
+
+def test_chain_certificate_hands_linalg_real_arrays(monkeypatch):
+    # the certificate assembles its forms in complex arithmetic but passes
+    # LAPACK only their real embeddings, so every call runs a real kernel
+    systems = [solve_2d_eigensystem(m, "dirichlet", n, Domain.rectangle(1.0, ly), count=8)
+               for m, n in ((1, 12), (2, 12), (3, 10)) for ly in (1.0, 0.5)]
+    seen = []
+    for name in ("cholesky", "solve", "eigh", "eigvalsh", "svd"):
+        kernel = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _kernel=kernel, **kwargs):
+            seen.append((_name, np.iscomplexobj(a)))
+            return _kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    for sysd in systems:
+        for k in range(1, 9):
+            certified_chain_bound(k, sysd)
+    assert not [call for call in seen if call[1]]
+    assert {name for name, _ in seen} == {"cholesky", "solve", "eigvalsh"}
