@@ -13,9 +13,10 @@ turns stiffness and mass into sums of Kronecker products of 1d derivative
 Gram matrices on the reference element, scaled by the affine map of each
 axis.  Quadrature uses n + 2m + 2 Gauss nodes per axis, which integrates
 every integrand here exactly.  The 1d tables, shape derivatives times root
-weights and their Grams, come from one cached builder, shape_table, which
-the chain certificate of trialspace and the interpolation energies of
-harness read on their own rules as well.
+weights and their Grams, come from one builder, shape_table, which the chain
+certificate of trialspace (one rule per eigensystem, sized by its largest
+level) and the interpolation energies of harness read on their own rules as
+well.  Each caller builds the tables it needs, so nothing is cached.
 
 Shape function i has parity (-1)^i, so G_a[i, j] vanishes unless i + j is
 even, and the pencil splits exactly into four blocks by (x parity, y parity).
@@ -39,7 +40,6 @@ equal values.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import comb, floor, log, log1p, perm, pi
 
 import numpy as np
@@ -77,7 +77,6 @@ def shape_derivatives(bc: str, m: int, n: int, t: np.ndarray, max_deriv: int) ->
     return out
 
 
-@lru_cache(maxsize=64)
 def shape_table(bc: str, m: int, n: int, nq: int) -> tuple[np.ndarray, np.ndarray]:
     """Shape factors and their Grams on the nq-point Gauss rule of [-1, 1].
 
@@ -85,15 +84,11 @@ def shape_table(bc: str, m: int, n: int, nq: int) -> tuple[np.ndarray, np.ndarra
     of integrals of phi_i^(a) phi_j^(a), for 0 <= a <= m.  G is exact once
     nq >= n + 2m: the largest integrand degree is 2(n - 1) + 4m.  It is
     exactly symmetric, since the unoptimized einsum sums G[a, i, j] and
-    G[a, j, i] over the same products in the same order.  Each table
-    is built once per process and shared, so both arrays are read-only.
+    G[a, j, i] over the same products in the same order.
     """
     t, w = gauss_legendre(nq)
     F = shape_derivatives(bc, m, n, t, max_deriv=m) * np.sqrt(w)
-    G = np.einsum("aiq,ajq->aij", F, F)
-    for arr in (F, G):
-        arr.flags.writeable = False
-    return F, G
+    return F, np.einsum("aiq,ajq->aij", F, F)
 
 
 # block order (x parity, y parity): ee, eo, oe, oo

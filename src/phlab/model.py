@@ -170,14 +170,6 @@ class Spectrum(namedtuple("Spectrum", "m bc domain method values tol",
     def trusted_count(self) -> int:
         return len(self.values)
 
-    def value(self, k: int) -> float:
-        """1-based eigenvalue access, restricted to the trusted range."""
-        if not (1 <= k <= self.trusted_count):
-            raise InvalidArgumentError(
-                f"index k={k} outside trusted range 1..{self.trusted_count}"
-            )
-        return self.values[k - 1]
-
     def as_json(self) -> dict:
         return {
             "schema_version": "1",

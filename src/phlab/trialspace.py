@@ -22,8 +22,9 @@ Every W basis function is a sum of products f(x) g(y), and the forms on W
 are sums over the product of two 1d Gauss rules, so they are assembled from
 1d sums (Lynch, Rice & Thomas, 1964): the same sums in exact arithmetic, with
 no array over the 2d grid.  The 1d shape tables are those the rectangle
-solver uses, galerkin.shape_table, taken on the certificate's own rule; m,
-bc, n and the domain are read from the eigensystem's spectrum.
+solver uses, galerkin.shape_table, taken on the certificate's own rule, one
+per eigensystem and sized by its largest level; m, bc, n and the domain are
+read from the eigensystem's spectrum.
 
 All derivatives in this module are closed-form; numerical differentiation is
 deliberately absent so identity residuals measure rounding, not truncation.
@@ -107,21 +108,19 @@ def vandermonde_check(zetas) -> float:
 # combined space W = span(u_1..u_k) + V_omega on the rectangle
 
 
-def _axis_forms(F: np.ndarray, Gref: np.ndarray, length: float, freq: float,
-                xi: np.ndarray) -> tuple:
-    """One axis, from the shape table (F, Gref) of its Gauss rule mapped to
-    (0, length), in physical derivatives: K[a] = integral of phi^(a) phi^(a)^T,
+def _wave_forms(F: np.ndarray, axis: tuple, freq: float, xi: np.ndarray) -> tuple:
+    """One axis's pieces of the forms on W for the 1d waves e_j(x) = e^(i xi_j freq x).
+
+    axis holds the physical Grams K[a] = integral of phi^(a) phi^(a)^T on
+    (0, length), the nodes x, weights wq and root weights of F's rule mapped
+    there, and the derivative scales s[a] = (2 / length)^a.  Returns K, the
     wave moments E[a, j, i] = integral of phi_i^(a) conj(e_j) and the wave
-    Gram G[j, l] = integral of e_j conj(e_l), for the 1d waves
-    e_j(x) = e^(i xi_j freq x)."""
-    t, w = gauss_legendre(F.shape[-1])
-    x, wq = 0.5 * length * (t + 1.0), 0.5 * length * w
-    s = (2.0 / length) ** np.arange(F.shape[0])  # d/dx = (2 / length) d/dt
+    Gram G[j, l] = integral of e_j conj(e_l).
+    """
+    K, x, wq, root, s = axis
     waves = np.exp(1j * np.outer(xi, freq * x))
-    K = (0.5 * length * s * s)[:, None, None] * Gref
-    E = s[:, None, None] * ((waves.conj() * (0.5 * length * np.sqrt(w))) @ F.transpose(0, 2, 1))
-    G = (waves * wq) @ waves.conj().T
-    return K, E, G
+    E = s[:, None, None] * ((waves.conj() * root) @ F.transpose(0, 2, 1))
+    return K, E, (waves * wq) @ waves.conj().T
 
 
 def _chain_form(C: np.ndarray, x: tuple, y: tuple, beta: np.ndarray,
@@ -196,19 +195,21 @@ class ChainCertificate(namedtuple("ChainCertificate",
     __slots__ = ()
 
 
-def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
-    """Assemble the (k+m) x (k+m) forms on W and bound its Rayleigh quotient.
+def certified_chain_bound(eigsys: Eigensystem2D) -> tuple[ChainCertificate, ...]:
+    """Bound the Rayleigh quotient on W for every k = 1..count, in order.
 
-    omega has length lambda_hat_k^(1/(2m)) and points along the shorter side,
-    so a combination of waves depends on that coordinate alone.  The clamped
-    eigenvectors vanish on the two sides parallel to omega, so such a
-    combination in their span vanishes everywhere, and the combined basis is
-    (k+m)-dimensional; a normalized Gram whose smallest singular value is at
-    or below GRAM_SV_FLOOR means the discrete eigenvectors are suspect and is
-    reported as a Gram degeneracy.  One Gauss rule of
-    n + 2 ceil(|omega| s / pi) + 10 nodes per axis, s the shorter side,
-    resolves the wave.  Since lambda_hat_k(lx, ly) <= lambda_hat_k(s, s) by
-    min-max, |omega| s and so the rule are never larger than on a square.
+    Per k, omega has length lambda_hat_k^(1/(2m)) and points along the
+    shorter side, so a combination of waves depends on that coordinate
+    alone.  The clamped eigenvectors vanish on the two sides parallel to
+    omega, so such a combination in their span vanishes everywhere, and the
+    combined basis is (k+m)-dimensional; a normalized Gram whose smallest
+    singular value is at or below GRAM_SV_FLOOR means the discrete
+    eigenvectors are suspect and is reported as a Gram degeneracy.  One Gauss
+    rule of n + 2 ceil(|omega| s / pi) + 10 nodes per axis, s the shorter
+    side and omega the largest level's, resolves every wave; it, its shape
+    table and both axes' Grams are built once, before the loop over k.
+    Since lambda_hat_k(lx, ly) <= lambda_hat_k(s, s) by min-max, the rule
+    is never larger than on a square.
 
     The clamped eigenvectors are exact members of the essential-condition
     space, so all stiffness cross terms are plain integrals of order-m
@@ -228,32 +229,41 @@ def certified_chain_bound(k: int, eigsys: Eigensystem2D) -> ChainCertificate:
     if spec.bc != BC_DIRICHLET:
         raise InvalidArgumentError("chain bound needs the clamped eigensystem")
     m, dom, n = spec.m, spec.domain, spec.method.n_per_axis
-    lambda_hat = spec.value(k)  # refuses k outside 1..count
-    r = lambda_hat ** (1.0 / (2 * m))
-    omega = np.array([r, 0.0]) if dom.lx <= dom.ly else np.array([0.0, r])
-    F, G = shape_table(spec.bc, m, n, n + 2 * ceil(r * min(dom.lx, dom.ly) / np.pi) + 10)
+    top = spec.values[-1] ** (1.0 / (2 * m))
+    F, G = shape_table(spec.bc, m, n, n + 2 * ceil(top * min(dom.lx, dom.ly) / np.pi) + 10)
     xi = roots_of_unity(m)
-    C = eigsys.vectors[:, :k].T.reshape(k, n, n)
     a = np.arange(m + 1)
-    # d_x^a d_y^(m-a) multiplies wave j by (i xi_j)^m omega_x^a omega_y^(m-a)
-    c = (omega[0] ** a * omega[1] ** (m - a))[:, None] * (1j * xi) ** m
     beta = np.array([comb(m, b) for b in a], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = _axis_forms(F, G, dom.lx, omega[0], xi)
-        y = _axis_forms(F, G, dom.ly, omega[1], xi)
-        M = _chain_form(C, x, y, np.ones(1), np.ones((1, m)))
-        S = _chain_form(C, x, y, beta, c)
-    if not (np.isfinite(M).all() and np.isfinite(S).all()):
-        raise CapabilityError(
-            f"the chain certificate's forms for k={k} on the {dom.lx:g} x {dom.ly:g} "
-            f"rectangle overflow double precision")
-    S, M = _hermitian_part(S), _hermitian_part(M)
-    gram_min_sv = _normalized_gram_min_sv(M)
-    if gram_min_sv <= GRAM_SV_FLOOR:
-        raise GramDegeneracyError(
-            f"the combined basis Gram's smallest singular value {gram_min_sv:.3e} is not "
-            f"above {GRAM_SV_FLOOR:g}; the discrete eigenvectors are suspect")
-    T = mass_whitener(_real_embedding(M))
-    w = hermitian_eig(T @ _real_embedding(S) @ T.T, vectors=False)
-    return ChainCertificate(lambda_hat=lambda_hat, omega=omega, max_rayleigh=float(w[-1]),
-                            gram_min_sv=gram_min_sv)
+    C = eigsys.vectors.T.reshape(-1, n, n)  # coefficient matrix of each eigenvector
+    t, w = gauss_legendre(F.shape[-1])
+    axes, certs = [], []
+    for L in (dom.lx, dom.ly):
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = (2.0 / L) ** a  # d/dx = (2 / L) d/dt
+            axes.append(((0.5 * L * s * s)[:, None, None] * G, 0.5 * L * (t + 1.0),
+                         0.5 * L * w, 0.5 * L * np.sqrt(w), s))
+    for k, lambda_hat in enumerate(spec.values, start=1):
+        r = lambda_hat ** (1.0 / (2 * m))
+        omega = np.array([r, 0.0]) if dom.lx <= dom.ly else np.array([0.0, r])
+        # d_x^a d_y^(m-a) multiplies wave j by (i xi_j)^m omega_x^a omega_y^(m-a)
+        c = (omega[0] ** a * omega[1] ** (m - a))[:, None] * (1j * xi) ** m
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _wave_forms(F, axes[0], omega[0], xi)
+            y = _wave_forms(F, axes[1], omega[1], xi)
+            M = _chain_form(C[:k], x, y, np.ones(1), np.ones((1, m)))
+            S = _chain_form(C[:k], x, y, beta, c)
+        if not (np.isfinite(M).all() and np.isfinite(S).all()):
+            raise CapabilityError(
+                f"the chain certificate's forms for k={k} on the {dom.lx:g} x {dom.ly:g} "
+                f"rectangle overflow double precision")
+        S, M = _hermitian_part(S), _hermitian_part(M)
+        gram_min_sv = _normalized_gram_min_sv(M)
+        if gram_min_sv <= GRAM_SV_FLOOR:
+            raise GramDegeneracyError(
+                f"the combined basis Gram's smallest singular value {gram_min_sv:.3e} is not "
+                f"above {GRAM_SV_FLOOR:g}; the discrete eigenvectors are suspect")
+        T = mass_whitener(_real_embedding(M))
+        w = hermitian_eig(T @ _real_embedding(S) @ T.T, vectors=False)
+        certs.append(ChainCertificate(lambda_hat=lambda_hat, omega=omega,
+                                      max_rayleigh=float(w[-1]), gram_min_sv=gram_min_sv))
+    return tuple(certs)

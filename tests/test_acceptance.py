@@ -55,7 +55,7 @@ def test_01_interval_laplacian_exactness():
 
     # shifted equality: the free eigenvalue one rank up equals the clamped one
     for kk in range(1, 10):
-        assert abs(mu.value(kk + 1) - lam.value(kk)) <= 1e-8 * lam.value(kk)
+        assert abs(mu.values[kk] - lam.values[kk - 1]) <= 1e-8 * lam.values[kk - 1]
 
 
 def test_02_interval_beam_and_higher_order_roots():
@@ -81,7 +81,7 @@ def test_03_square_laplacian_reference():
     npt.assert_allclose(mu.values, exact_n, rtol=1e-3, atol=1e-8)
 
     for k in range(1, 10):
-        gap = lam.value(k) - mu.value(k + 1)
+        gap = lam.values[k - 1] - mu.values[k]
         assert gap >= 0.5 * pi ** 2
 
 
@@ -100,8 +100,8 @@ def test_04_square_plate_zero_modes_and_strict_gap():
     lam20 = solve_2d_spectrum(2, BC_DIRICHLET, 20, SQUARE, count=8)
     mu20 = specs[20]
     for k in range(1, 9):
-        conv_diff = abs(lam16.value(k) - lam20.value(k))
-        gap = lam20.value(k) - mu20.value(k + 2)
+        conv_diff = abs(lam16.values[k - 1] - lam20.values[k - 1])
+        gap = lam20.values[k - 1] - mu20.values[k + 1]
         assert gap > 5.0 * conv_diff
         assert gap > 0.0
 
@@ -120,9 +120,9 @@ def test_05_wave_identities_pointwise():
 
 def test_06_certified_chain_bound_on_square_plate():
     sysd = solve_2d_eigensystem(2, BC_DIRICHLET, 16, SQUARE, count=5)
-    for k in range(1, 6):
-        lam = sysd.spectrum.value(k)
-        cert = certified_chain_bound(k, sysd)
+    certs = certified_chain_bound(sysd)
+    assert len(certs) == 5
+    for lam, cert in zip(sysd.spectrum.values, certs):
         npt.assert_allclose(np.hypot(*cert.omega) ** 4, lam, rtol=1e-12)
         assert cert.max_rayleigh <= lam * (1.0 + 1e-8)
         assert cert.gram_min_sv > 1e-8
@@ -167,7 +167,7 @@ def test_10_convex_square_certificate():
     mu1_exact = square_laplacian_eigs(BC_NEUMANN, 10)
     # the computed side is an upper bound, so <= certifies the true statement
     for k in range(1, 11):
-        assert mu2.value(k) <= mu1_exact[k - 1] ** 2
+        assert mu2.values[k - 1] <= mu1_exact[k - 1] ** 2
 
 
 def test_11_interval_equality_witness():

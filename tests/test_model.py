@@ -62,7 +62,7 @@ def test_make_spectrum_clamps_zero_noise():
     s = _mk(BC_NEUMANN, [-1e-9, 3e-10, 1e-9, 500.0, 800.0])
     assert list(s.values[:3]) == [0.0, 0.0, 0.0]
     assert n_poly_dim(s.domain.dimension, s.m) == 3
-    assert s.value(4) == 500.0
+    assert s.values[3] == 500.0
 
 
 def test_make_spectrum_rejects_fat_zero_noise():
@@ -83,11 +83,7 @@ def test_make_spectrum_rejects_nonpositive_dirichlet():
 def test_spectrum_trusted_access():
     s = _mk(BC_DIRICHLET, [1.0, 2.0, 3.0], m=1)
     assert s.trusted_count == 3
-    assert s.value(3) == 3.0
-    with pytest.raises(InvalidArgumentError):
-        s.value(4)
-    with pytest.raises(InvalidArgumentError):
-        s.value(0)
+    assert s.values == (1.0, 2.0, 3.0)
 
 
 def test_config_merge_precedence():

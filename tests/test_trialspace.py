@@ -98,15 +98,16 @@ def test_grouped_and_ungrouped_gradient_agree():
 
 def test_chain_certificate_omega_hits_target_level():
     sysd = solve_2d_eigensystem(2, "dirichlet", 10, SQUARE, count=3)
-    for k in (1, 2, 3):
-        cert = certified_chain_bound(k, sysd)
-        npt.assert_allclose(np.hypot(*cert.omega) ** 4, sysd.spectrum.value(k), rtol=1e-12)
+    certs = certified_chain_bound(sysd)
+    assert len(certs) == 3
+    for cert, lam in zip(certs, sysd.spectrum.values):
+        npt.assert_allclose(np.hypot(*cert.omega) ** 4, lam, rtol=1e-12)
 
 
-def test_chain_certificate_builds_shape_factors_once_per_rule(monkeypatch):
-    # two identical solves and the certificates on them evaluate the shape
-    # derivatives once per distinct (bc, m, n, nq): the assembly rule once,
-    # each certificate rule once
+def test_chain_certificate_builds_one_rule_per_eigensystem(monkeypatch):
+    # nothing caches the shape tables: each of two identical solves builds its
+    # assembly rule's, and one certificate pass builds one more, on the rule
+    # sized by the largest level lambda_hat_5
     calls = []
     build = galerkin.shape_derivatives
 
@@ -115,14 +116,28 @@ def test_chain_certificate_builds_shape_factors_once_per_rule(monkeypatch):
         return build(bc, m, n, t, max_deriv)
 
     monkeypatch.setattr(galerkin, "shape_derivatives", counted)
-    galerkin.shape_table.cache_clear()
     for _ in range(2):
         sysd = solve_2d_eigensystem(2, "dirichlet", 12, SQUARE, count=5)
-    rules = {("dirichlet", 2, 12, 12 + 2 * 2 + 2)}
-    for k in range(1, 6):
-        cert = certified_chain_bound(k, sysd)
-        rules.add(("dirichlet", 2, 12, 12 + 2 * ceil(np.hypot(*cert.omega) / np.pi) + 10))
-    assert sorted(calls) == sorted(rules)
+    certified_chain_bound(sysd)
+    nq = 12 + 2 * ceil(sysd.spectrum.values[4] ** 0.25 / np.pi) + 10
+    assert calls == [("dirichlet", 2, 12, 12 + 2 * 2 + 2)] * 2 + [("dirichlet", 2, 12, nq)]
+
+
+@pytest.mark.parametrize("lx, ly", [(1.0, 1.0), (1.0, 0.5)])
+@pytest.mark.parametrize("m, n, K", [(1, 24, 30), (2, 24, 30), (3, 16, 12)])
+def test_chain_certificates_do_not_depend_on_count(m, n, K, lx, ly):
+    # the rule is sized by the largest level of the eigensystem, so a larger
+    # count certifies the leading k on a finer rule; that changes the records
+    # by rounding alone
+    dom = Domain.rectangle(lx, ly)
+    few = certified_chain_bound(solve_2d_eigensystem(m, "dirichlet", n, dom, count=5))
+    many = certified_chain_bound(solve_2d_eigensystem(m, "dirichlet", n, dom, count=K))
+    assert len(few) == 5 and len(many) == K
+    for a, b in zip(few, many):
+        assert a.lambda_hat == b.lambda_hat
+        npt.assert_array_equal(a.omega, b.omega)
+        npt.assert_allclose(a.max_rayleigh, b.max_rayleigh, rtol=1e-13, atol=0)
+        npt.assert_allclose(a.gram_min_sv, b.gram_min_sv, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("ly", [1.0, 0.5])
@@ -145,7 +160,7 @@ def test_chain_rule_fits_the_node_limit_at_full_capacity(m, ly, monkeypatch):
 
     monkeypatch.setattr(trialspace, "shape_table", read_rule)
     with pytest.raises(RuleRead):
-        certified_chain_bound(spec.trusted_count, Eigensystem2D(spectrum=spec, vectors=None))
+        certified_chain_bound(Eigensystem2D(spectrum=spec, vectors=None))
     assert rules[0] <= MAX_GAUSS_NODES
 
 
@@ -201,10 +216,10 @@ def test_separable_chain_forms_match_grid_reference(m, n, lx, ly, monkeypatch):
         return forms[-1]
 
     monkeypatch.setattr(trialspace, "_chain_form", recorded)
-    for k in range(1, 9):
-        forms.clear()
-        cert = certified_chain_bound(k, sysd)
-        M, S = forms[-2], forms[-1]  # the mass of the certified direction, then S
+    certs = certified_chain_bound(sysd)
+    assert len(forms) == 2 * len(certs) == 16
+    for k, cert in enumerate(certs, start=1):
+        M, S = forms[2 * k - 2], forms[2 * k - 1]  # per k, the mass, then S
         S_ref, M_ref = _grid_reference_forms(sysd, k, cert.omega)
         for got, ref in ((S, S_ref), (M, M_ref)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -216,23 +231,20 @@ def test_separable_chain_forms_match_grid_reference(m, n, lx, ly, monkeypatch):
 
 
 def test_chain_certificate_contents():
-    for m, k, n in ((1, 3, 10), (2, 2, 10)):
-        sysd = solve_2d_eigensystem(m, "dirichlet", n, SQUARE, count=k)
-        lam = sysd.spectrum.value(k)
-        cert = certified_chain_bound(k, sysd)
-        assert cert.lambda_hat == lam
-        assert cert.gram_min_sv > 1e-8
-        assert cert.max_rayleigh <= lam * (1.0 + 1e-8)
+    for m, count, n in ((1, 3, 10), (2, 2, 10)):
+        sysd = solve_2d_eigensystem(m, "dirichlet", n, SQUARE, count=count)
+        certs = certified_chain_bound(sysd)
+        assert len(certs) == count
+        for cert, lam in zip(certs, sysd.spectrum.values):
+            assert cert.lambda_hat == lam
+            assert cert.gram_min_sv > 1e-8
+            assert cert.max_rayleigh <= lam * (1.0 + 1e-8)
 
 
 def test_chain_certificate_preconditions():
-    sysd = solve_2d_eigensystem(2, "dirichlet", 8, SQUARE, count=2)
     sysn = solve_2d_eigensystem(2, BC_NEUMANN, 8, SQUARE, count=4)
     with pytest.raises(InvalidArgumentError):
-        certified_chain_bound(1, sysn)
-    for k in (0, 3, 9):
-        with pytest.raises(InvalidArgumentError):
-            certified_chain_bound(k, sysd)
+        certified_chain_bound(sysn)
 
 
 def test_chain_gram_degeneracy_detected():
@@ -242,7 +254,7 @@ def test_chain_gram_degeneracy_detected():
     V[:, 1] = V[:, 0]
     broken = type(sysd)(spectrum=sysd.spectrum, vectors=V)
     with pytest.raises(GramDegeneracyError):
-        certified_chain_bound(2, broken)
+        certified_chain_bound(broken)
 
 
 def test_hermitian_part_rejects_gross_asymmetry():
@@ -288,7 +300,6 @@ def test_chain_certificate_hands_linalg_real_arrays(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
     for sysd in systems:
-        for k in range(1, 9):
-            certified_chain_bound(k, sysd)
+        certified_chain_bound(sysd)
     assert not [call for call in seen if call[1]]
     assert {name for name, _ in seen} == {"cholesky", "solve", "eigvalsh"}
