@@ -13,10 +13,12 @@ turns stiffness and mass into sums of Kronecker products of 1d derivative
 Gram matrices on the reference element, scaled by the affine map of each
 axis.  Quadrature uses n + 2m + 2 Gauss nodes per axis, which integrates
 every integrand here exactly.  The 1d tables, shape derivatives times root
-weights and their Grams, come from one builder, shape_table, which the chain
-certificate of trialspace (one rule per eigensystem, sized by its largest
-level) and the interpolation energies of harness read on their own rules as
-well.  Each caller builds the tables it needs, so nothing is cached.
+weights and their Grams, come from one builder, shape_table.  The chain
+certificate of trialspace reads it on two rules per eigensystem: this
+solver's rule, for the Grams of the eigenvectors, and a wave rule sized by
+the largest level, for the wave moments.  The interpolation energies of
+harness read it on their own rules.  Each caller builds the tables it
+needs, so nothing is cached.
 
 Shape function i has parity (-1)^i, so G_a[i, j] vanishes unless i + j is
 even, and the pencil splits exactly into four blocks by (x parity, y parity).

@@ -427,7 +427,10 @@ def claim_chain_certificate(cfg: RunConfig) -> VerificationReport:
         notes=(f"per k: largest Rayleigh quotient over the span of the first k "
                f"clamped eigenvectors plus the {cfg.m}-wave family at level "
                f"lambda_hat_k (must not exceed lambda_hat_k up to tol_identity), "
-               f"and the combined-basis smallest singular value"),
+               f"computed as lambda_hat_k plus the top eigenvalue of the pencil "
+               f"(S - lambda_hat_k M, M), whose first form is zero outside the "
+               f"eigenvector block by an exact identity; and the combined-basis "
+               f"smallest singular value"),
         config_echo={"m": cfg.m, "n": cfg.n, "k_max": cfg.k_max,
                      "domain": dom.as_json(), "tol_identity": cfg.tol.tol_identity},
     )

@@ -18,17 +18,17 @@ mechanism that separates the shifted free eigenvalues from the clamped ones
 in two dimensions.  Any omega of length lambda_hat_k^(1/(2m)) serves; the
 certificate points it along the rectangle's shorter side.
 
-Every W basis function is a sum of products f(x) g(y), and the forms on W
-are sums over the product of two 1d Gauss rules, so they are assembled from
-1d sums (Lynch, Rice & Thomas, 1964): the same sums in exact arithmetic, with
-no array over the 2d grid.  The 1d shape tables are those the rectangle
-solver uses, galerkin.shape_table, taken on the certificate's own rule, one
-per eigensystem and sized by its largest level; m, bc, n and the domain are
-read from the eigensystem's spectrum.
+At that length the stiffness form S on W equals lambda_hat_k times the mass
+form M outside the eigenvector block, by integration by parts and the two
+identities, so the certificate records the largest Rayleigh quotient as
+lambda_hat_k plus the top eigenvalue of the pencil of that block of
+S - lambda_hat_k M against M.  The eigenvector blocks are Gram products on
+the solver's rule; the wave parts of M are 1d sums over one wave rule per
+eigensystem (Lynch, Rice & Thomas, 1964), with no array over the 2d grid.
 
 All derivatives in this module are closed-form; numerical differentiation is
 deliberately absent so identity residuals measure rounding, not truncation.
-The forms are assembled in complex arithmetic, which stays inside this
+The wave parts are complex, and complex arithmetic stays inside this
 module: linalg receives only their real symmetric embeddings, so the
 certificate runs the same real Cholesky, solve and symmetric eigensolve as
 the rectangle solver.
@@ -44,8 +44,7 @@ import numpy as np
 
 from .galerkin import Eigensystem2D, shape_table
 from .linalg import gauss_legendre, hermitian_eig, mass_whitener
-from .model import (BC_DIRICHLET, CapabilityError, GramDegeneracyError, InvalidArgumentError,
-                    NumericalError)
+from .model import BC_DIRICHLET, CapabilityError, GramDegeneracyError, InvalidArgumentError
 
 GRAM_SV_FLOOR = 1e-8  # a combined basis at or below this is not (k+m)-dimensional
 
@@ -108,49 +107,39 @@ def vandermonde_check(zetas) -> float:
 # combined space W = span(u_1..u_k) + V_omega on the rectangle
 
 
-def _wave_forms(F: np.ndarray, axis: tuple, freq: float, xi: np.ndarray) -> tuple:
-    """One axis's pieces of the forms on W for the 1d waves e_j(x) = e^(i xi_j freq x).
+def _wave_forms(F0: np.ndarray, L: float, freq: float, xi: np.ndarray) -> tuple:
+    """One axis's wave parts of the mass form for e_j(x) = e^(i xi_j freq x).
 
-    axis holds the physical Grams K[a] = integral of phi^(a) phi^(a)^T on
-    (0, length), the nodes x, weights wq and root weights of F's rule mapped
-    there, and the derivative scales s[a] = (2 / length)^a.  Returns K, the
-    wave moments E[a, j, i] = integral of phi_i^(a) conj(e_j) and the wave
-    Gram G[j, l] = integral of e_j conj(e_l).
+    F0 holds the shape values times the root weights of a Gauss rule on
+    [-1, 1]; the rule is mapped to (0, L).  Returns the wave moments
+    E[j, i] = integral of phi_i conj(e_j) and the wave Gram
+    G[j, l] = integral of e_j conj(e_l).
     """
-    K, x, wq, root, s = axis
-    waves = np.exp(1j * np.outer(xi, freq * x))
-    E = s[:, None, None] * ((waves.conj() * root) @ F.transpose(0, 2, 1))
-    return K, E, (waves * wq) @ waves.conj().T
+    t, w = gauss_legendre(F0.shape[-1])
+    waves = np.exp(1j * np.outer(xi, freq * (0.5 * L * (t + 1.0))))
+    E = (waves.conj() * (0.5 * L * np.sqrt(w))) @ F0.T
+    return E, (waves * (0.5 * L * w)) @ waves.conj().T
 
 
-def _chain_form(C: np.ndarray, x: tuple, y: tuple, beta: np.ndarray,
-                c: np.ndarray) -> np.ndarray:
-    """sum_t beta_t integral (D_t f) conj(D_t g) over the W basis, from 1d pieces.
+def _eigen_grams(C: np.ndarray, F: np.ndarray, lx: float, ly: float) -> tuple:
+    """Mass and order-m stiffness Grams of the eigenvectors C[i] on F's rule.
 
-    D_t = d_x^t d_y^(T-1-t), T = len(beta), multiplies wave j by c[t, j], and
-    C[i] is the n x n coefficient matrix of eigenvector i.  Eigenvector blocks
-    are C_i . (K^x_t C_l K^y_(T-1-t)), mixed blocks contract C_i with the wave
-    moments E^x_t[j] (x) E^y_(T-1-t)[j], and wave blocks are G^x G^y.
+    F is a shape table on the Gauss rule of each axis.  D[i] holds a partial
+    d_x^b d_y^c of eigenvector i at the tensor nodes times the root weights,
+    so the mass D D^T (b = c = 0) and the stiffness, the sum over b of
+    C(m,b) D D^T (c = m - b), are Gram products, symmetric by construction.
+    One partial is held at a time.
     """
-    (Kx, Ex, Gx), (Ky, Ey, Gy) = x, y
-    T = beta.size
-    Ky, Ey = Ky[T - 1::-1], Ey[T - 1::-1]
-    Z = np.einsum("t,tlpq->lpq", beta, Kx[:T, None] @ C @ Ky[:, None])
-    uu = C.reshape(len(C), -1) @ Z.reshape(len(C), -1).T
-    uw = sum(b * ct.conj() * ((C @ ey.T) * ex.T).sum(axis=1)
-             for b, ct, ex, ey in zip(beta, c, Ex, Ey))
-    ww = ((beta[:, None] * c).T @ c.conj()) * Gx * Gy
-    return np.block([[uu, uw], [uw.conj().T, ww]])
+    m = F.shape[0] - 1
+    a = np.arange(m + 1)
+    # d/dx = (2 / L) d/dt, and the root weights on (0, L) carry sqrt(L / 2)
+    Fx, Fy = (((2.0 / L) ** a * np.sqrt(0.5 * L))[:, None, None] * F for L in (lx, ly))
 
+    def gram(b, c):
+        D = (Fx[b].T @ C @ Fy[c]).reshape(len(C), -1)
+        return D @ D.T
 
-def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    """Hermitian part of a form, after checking its deviation is roundoff-sized."""
-    H = M.conj().T
-    scale = np.max(np.abs(M), initial=0.0)
-    asym = np.max(np.abs(M - H), initial=0.0)
-    if scale > 0.0 and asym > 1e-12 * scale:
-        raise NumericalError(f"matrix deviation from Hermitian {asym:.3e} exceeds 1.0e-12 * scale")
-    return 0.5 * (M + H)
+    return gram(0, 0), sum(comb(m, b) * gram(b, m - b) for b in a)
 
 
 def _real_embedding(X: np.ndarray) -> np.ndarray:
@@ -187,8 +176,9 @@ class ChainCertificate(namedtuple("ChainCertificate",
                                   "lambda_hat omega max_rayleigh gram_min_sv")):
     """Outcome of the discrete chain bound on W = span(u_1..u_k) + V_omega.
 
-    max_rayleigh is the largest generalized eigenvalue of the order-m
-    stiffness/mass forms restricted to W, to be compared with lambda_hat;
+    max_rayleigh is the largest Rayleigh quotient of the order-m stiffness
+    form on W, lambda_hat plus the top eigenvalue of (S - lambda_hat M, M)
+    (see certified_chain_bound), to be compared with lambda_hat;
     gram_min_sv documents that W is genuinely (k+m)-dimensional.
     """
 
@@ -204,66 +194,62 @@ def certified_chain_bound(eigsys: Eigensystem2D) -> tuple[ChainCertificate, ...]
     omega, so such a combination in their span vanishes everywhere, and the
     combined basis is (k+m)-dimensional; a normalized Gram whose smallest
     singular value is at or below GRAM_SV_FLOOR means the discrete
-    eigenvectors are suspect and is reported as a Gram degeneracy.  One Gauss
-    rule of n + 2 ceil(|omega| s / pi) + 10 nodes per axis, s the shorter
-    side and omega the largest level's, resolves every wave; it, its shape
-    table and both axes' Grams are built once, before the loop over k.
-    Since lambda_hat_k(lx, ly) <= lambda_hat_k(s, s) by min-max, the rule
-    is never larger than on a square.
+    eigenvectors are suspect and is reported as a Gram degeneracy.
 
-    The clamped eigenvectors are exact members of the essential-condition
-    space, so all stiffness cross terms are plain integrals of order-m
-    gradient contractions; no boundary terms arise.  Both forms are sums over
-    a tensor Gauss rule and are assembled by axis (see _chain_form), which
-    equals the sum over the 2d grid in exact arithmetic.  Forms that overflow,
+    S - lambda_hat_k M vanishes outside its eigenvector block.  For u in
+    H^m_0 and a wave e, integration by parts without boundary terms and
+    (-Lap)^m e = |omega|^(2m) e give a(u, e) = |omega|^(2m) <u, e>; the
+    gradient identity gives a(e, e') = |omega|^(2m) <e, e'>.  So the largest
+    Rayleigh quotient on W is exactly lambda_hat_k plus the top eigenvalue
+    of ([[S_uu - lambda_hat_k M_uu, 0], [0, 0_m]], M), which is recorded.
+
+    M_uu and S_uu of all count eigenvectors are Gram products on the
+    solver's rule of n + 2m + 2 nodes per axis, exact for them, built once
+    (see _eigen_grams).  Per k, only the wave parts of M are built, from
+    per-axis wave moments and wave Grams on one rule of
+    n + 2 ceil(|omega| s / pi) + 10 nodes per axis, s the shorter side and
+    omega the largest level's; since lambda_hat_k(lx, ly) <= lambda_hat_k(s, s)
+    by min-max, it is never larger than on a square.  Forms that overflow,
     as on a side near the largest double, are refused with CapabilityError.
-    Both are checked Hermitian to rounding and replaced by their Hermitian
-    parts, from which the Gram record is taken.  The pencil then goes to
-    linalg as the real embeddings E(S), E(M) (see _real_embedding), which
-    hold each eigenvalue of (S, M) twice: the whitener T of E(M) (see
-    linalg.mass_whitener) turns it into the standard problem T E(S) T^T,
-    whose largest eigenvalue the certificate records with the combined basis
-    conditioning.
+    Every form is Hermitian by construction, a Gram product or a block
+    beside its own conjugate transpose, so none is checked.  The pencil goes
+    to linalg as real embeddings (see _real_embedding), which hold each of
+    its eigenvalues twice, and the whitener of E(M) (see
+    linalg.mass_whitener) makes it a standard symmetric problem.
     """
     spec = eigsys.spectrum
     if spec.bc != BC_DIRICHLET:
         raise InvalidArgumentError("chain bound needs the clamped eigensystem")
     m, dom, n = spec.m, spec.domain, spec.method.n_per_axis
     top = spec.values[-1] ** (1.0 / (2 * m))
-    F, G = shape_table(spec.bc, m, n, n + 2 * ceil(top * min(dom.lx, dom.ly) / np.pi) + 10)
+    F0 = shape_table(spec.bc, m, n, n + 2 * ceil(top * min(dom.lx, dom.ly) / np.pi) + 10)[0][0]
     xi = roots_of_unity(m)
-    a = np.arange(m + 1)
-    beta = np.array([comb(m, b) for b in a], dtype=float)
     C = eigsys.vectors.T.reshape(-1, n, n)  # coefficient matrix of each eigenvector
-    t, w = gauss_legendre(F.shape[-1])
-    axes, certs = [], []
-    for L in (dom.lx, dom.ly):
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = (2.0 / L) ** a  # d/dx = (2 / L) d/dt
-            axes.append(((0.5 * L * s * s)[:, None, None] * G, 0.5 * L * (t + 1.0),
-                         0.5 * L * w, 0.5 * L * np.sqrt(w), s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M_uu, S_uu = _eigen_grams(C, shape_table(spec.bc, m, n, n + 2 * m + 2)[0],
+                                  dom.lx, dom.ly)
+    certs = []
     for k, lambda_hat in enumerate(spec.values, start=1):
         r = lambda_hat ** (1.0 / (2 * m))
         omega = np.array([r, 0.0]) if dom.lx <= dom.ly else np.array([0.0, r])
-        # d_x^a d_y^(m-a) multiplies wave j by (i xi_j)^m omega_x^a omega_y^(m-a)
-        c = (omega[0] ** a * omega[1] ** (m - a))[:, None] * (1j * xi) ** m
         with np.errstate(over="ignore", invalid="ignore"):
-            x = _wave_forms(F, axes[0], omega[0], xi)
-            y = _wave_forms(F, axes[1], omega[1], xi)
-            M = _chain_form(C[:k], x, y, np.ones(1), np.ones((1, m)))
-            S = _chain_form(C[:k], x, y, beta, c)
-        if not (np.isfinite(M).all() and np.isfinite(S).all()):
+            Ex, Gx = _wave_forms(F0, dom.lx, omega[0], xi)
+            Ey, Gy = _wave_forms(F0, dom.ly, omega[1], xi)
+            uw = ((C[:k] @ Ey.T) * Ex.T).sum(axis=1)  # <u_i, e_j>
+            M = np.block([[M_uu[:k, :k], uw], [uw.conj().T, Gx * Gy]])
+            A = np.pad(S_uu[:k, :k] - lambda_hat * M_uu[:k, :k], (0, m))
+        if not (np.isfinite(M).all() and np.isfinite(A).all()):
             raise CapabilityError(
                 f"the chain certificate's forms for k={k} on the {dom.lx:g} x {dom.ly:g} "
                 f"rectangle overflow double precision")
-        S, M = _hermitian_part(S), _hermitian_part(M)
         gram_min_sv = _normalized_gram_min_sv(M)
         if gram_min_sv <= GRAM_SV_FLOOR:
             raise GramDegeneracyError(
                 f"the combined basis Gram's smallest singular value {gram_min_sv:.3e} is not "
                 f"above {GRAM_SV_FLOOR:g}; the discrete eigenvectors are suspect")
         T = mass_whitener(_real_embedding(M))
-        w = hermitian_eig(T @ _real_embedding(S) @ T.T, vectors=False)
+        w = hermitian_eig(T @ _real_embedding(A) @ T.T, vectors=False)
         certs.append(ChainCertificate(lambda_hat=lambda_hat, omega=omega,
-                                      max_rayleigh=float(w[-1]), gram_min_sv=gram_min_sv))
+                                      max_rayleigh=lambda_hat + float(w[-1]),
+                                      gram_min_sv=gram_min_sv))
     return tuple(certs)

@@ -9,10 +9,9 @@ from phlab import galerkin, trialspace
 from phlab.galerkin import (Eigensystem2D, shape_derivatives, solve_2d_eigensystem,
                             solve_2d_spectrum, trusted_capacity)
 from phlab.linalg import MAX_GAUSS_NODES, gauss_legendre
-from phlab.model import (BC_NEUMANN, Domain, GramDegeneracyError, InvalidArgumentError,
-                         NumericalError)
-from phlab.trialspace import (_hermitian_part, certified_chain_bound, roots_of_unity,
-                              vandermonde_check, wave_identity_residuals)
+from phlab.model import BC_NEUMANN, Domain, GramDegeneracyError, InvalidArgumentError
+from phlab.trialspace import (certified_chain_bound, roots_of_unity, vandermonde_check,
+                              wave_identity_residuals)
 
 SQUARE = Domain.rectangle(1.0, 1.0)
 
@@ -106,8 +105,9 @@ def test_chain_certificate_omega_hits_target_level():
 
 def test_chain_certificate_builds_one_rule_per_eigensystem(monkeypatch):
     # nothing caches the shape tables: each of two identical solves builds its
-    # assembly rule's, and one certificate pass builds one more, on the rule
-    # sized by the largest level lambda_hat_5
+    # assembly rule's, and one certificate pass builds two more, the wave rule
+    # sized by the largest level lambda_hat_5 and the solver's rule for the
+    # eigenvector Grams
     calls = []
     build = galerkin.shape_derivatives
 
@@ -119,8 +119,10 @@ def test_chain_certificate_builds_one_rule_per_eigensystem(monkeypatch):
     for _ in range(2):
         sysd = solve_2d_eigensystem(2, "dirichlet", 12, SQUARE, count=5)
     certified_chain_bound(sysd)
-    nq = 12 + 2 * ceil(sysd.spectrum.values[4] ** 0.25 / np.pi) + 10
-    assert calls == [("dirichlet", 2, 12, 12 + 2 * 2 + 2)] * 2 + [("dirichlet", 2, 12, nq)]
+    # n + 2m + 2 = 18 nodes, and n + 2 ceil(lambda_hat_5^(1/4) / pi) + 10 = 30
+    assert 12 + 2 * ceil(sysd.spectrum.values[4] ** 0.25 / np.pi) + 10 == 30
+    solver = ("dirichlet", 2, 12, 18)
+    assert calls == [solver] * 2 + [("dirichlet", 2, 12, 30), solver]
 
 
 @pytest.mark.parametrize("lx, ly", [(1.0, 1.0), (1.0, 0.5)])
@@ -207,27 +209,33 @@ def _grid_reference_forms(eigsys, k, omega):
 @pytest.mark.parametrize("lx, ly", [(1.0, 1.0), (1.0, 0.5)])
 @pytest.mark.parametrize("m, n", [(1, 12), (2, 12), (3, 10)])
 def test_separable_chain_forms_match_grid_reference(m, n, lx, ly, monkeypatch):
+    # the certificate builds only the mass form on W and the eigenvector
+    # stiffness block, because S - lambda_hat_k M vanishes outside that block;
+    # the full reference forms show the identity, and the records match the
+    # reference pencil on W
     sysd = solve_2d_eigensystem(m, "dirichlet", n, Domain.rectangle(lx, ly), count=8)
-    forms = []
-    build = trialspace._chain_form
-
-    def recorded(*args):
-        forms.append(build(*args))
-        return forms[-1]
-
-    monkeypatch.setattr(trialspace, "_chain_form", recorded)
+    grams, masses = [], []
+    eigen_grams, gram_min_sv = trialspace._eigen_grams, trialspace._normalized_gram_min_sv
+    monkeypatch.setattr(trialspace, "_eigen_grams",
+                        lambda *args: grams.append(eigen_grams(*args)) or grams[-1])
+    monkeypatch.setattr(trialspace, "_normalized_gram_min_sv",
+                        lambda M: masses.append(M) or gram_min_sv(M))
     certs = certified_chain_bound(sysd)
-    assert len(forms) == 2 * len(certs) == 16
-    for k, cert in enumerate(certs, start=1):
-        M, S = forms[2 * k - 2], forms[2 * k - 1]  # per k, the mass, then S
+    assert len(grams) == 1 and len(masses) == len(certs) == 8
+    S_uu = grams[0][1]
+    for k, (cert, M) in enumerate(zip(certs, masses), start=1):
         S_ref, M_ref = _grid_reference_forms(sysd, k, cert.omega)
-        for got, ref in ((S, S_ref), (M, M_ref)):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(M - M_ref).max() <= 1e-12 * np.abs(M_ref).max()
+        ref_uu = S_ref[:k, :k]
+        assert np.abs(S_uu[:k, :k] - ref_uu).max() <= 1e-12 * np.abs(ref_uu).max()
+        for block in (np.s_[:k, k:], np.s_[k:, k:]):
+            residual = S_ref[block] - cert.lambda_hat * M_ref[block]
+            assert np.abs(residual).max() <= 1e-13 * np.abs(S_ref[block]).max()
         w = pencil_eigenvalues(S_ref, M_ref)
         assert abs(cert.max_rayleigh - w[-1]) <= 1e-12 * abs(w[-1])
         d = np.sqrt(np.real(np.diag(M_ref)))
-        gram_min_sv = np.linalg.svd(M_ref / np.outer(d, d), compute_uv=False)[-1]
-        assert abs(cert.gram_min_sv - gram_min_sv) <= 1e-12
+        ref_sv = np.linalg.svd(M_ref / np.outer(d, d), compute_uv=False)[-1]
+        assert abs(cert.gram_min_sv - ref_sv) <= 1e-12
 
 
 def test_chain_certificate_contents():
@@ -255,18 +263,6 @@ def test_chain_gram_degeneracy_detected():
     broken = type(sysd)(spectrum=sysd.spectrum, vectors=V)
     with pytest.raises(GramDegeneracyError):
         certified_chain_bound(broken)
-
-
-def test_hermitian_part_rejects_gross_asymmetry():
-    # the chain certificate's check on its forms, real and complex
-    with pytest.raises(NumericalError):
-        _hermitian_part(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NumericalError):
-        _hermitian_part(np.array([[1.0, 2.0j], [2.0j, 1.0]]))
-    # a deviation below the 1e-12 relative threshold passes and is averaged away
-    H = _hermitian_part(np.array([[1.0, 1.0 + 5e-13], [1.0, 1.0]]))
-    assert H.dtype == float and H[0, 1] == H[1, 0]
-    assert _hermitian_part(np.eye(2)).dtype == float
 
 
 def test_normalized_gram_min_sv_known():
