@@ -216,10 +216,17 @@ def test_separable_chain_forms_match_grid_reference(m, n, lx, ly, monkeypatch):
     sysd = solve_2d_eigensystem(m, "dirichlet", n, Domain.rectangle(lx, ly), count=8)
     grams, masses = [], []
     eigen_grams, gram_min_sv = trialspace._eigen_grams, trialspace._normalized_gram_min_sv
-    monkeypatch.setattr(trialspace, "_eigen_grams",
-                        lambda *args: grams.append(eigen_grams(*args)) or grams[-1])
-    monkeypatch.setattr(trialspace, "_normalized_gram_min_sv",
-                        lambda M: masses.append(M) or gram_min_sv(M))
+
+    def recorded_grams(*args):
+        grams.append(eigen_grams(*args))
+        return grams[-1]
+
+    def recorded_mass(M):  # the mass form on W, once per k
+        masses.append(M)
+        return gram_min_sv(M)
+
+    monkeypatch.setattr(trialspace, "_eigen_grams", recorded_grams)
+    monkeypatch.setattr(trialspace, "_normalized_gram_min_sv", recorded_mass)
     certs = certified_chain_bound(sysd)
     assert len(grams) == 1 and len(masses) == len(certs) == 8
     S_uu = grams[0][1]
