@@ -30,7 +30,15 @@ square root of the 2d one, and the whitened 1d Grams are combined by one
 einsum into one standard symmetric matrix per block.  No n^2-sized stiffness
 or mass matrix is formed.  One pass forms each block's matrix, hands it to
 one symmetric eigensolve and drops it before the next block; nothing is kept
-between solves.  The solve takes the path its caller needs.
+between solves.  At m=1 both terms of a block matrix carry a whitened 1d
+mass R_0 = I, so the block is the Kronecker sum R^x_1 (x) I + I (x) R^y_1
+and is solved by its two 1d eigensolves in O(n^3): its values are the sums
+of the 1d values and its eigenvectors the tensor products of the 1d ones.
+The values-only solve then forms no n^2-sized matrix at all; the eigenpair
+solve forms only the tensor-product eigenvectors.  The cap n^2 <= 2500
+still holds at m=1: lifting it waits for a count of the values the basis
+resolves, which the 0.7 n^2 of trusted_capacity overstates.  The solve
+takes the path its caller needs.
 solve_2d_spectrum, behind spectrum2d and every rectangle claim but the chain
 certificate, runs a values-only eigensolve per block, keeps only the block
 values and merges them by one sort.  solve_2d_eigensystem, which only the
@@ -95,7 +103,7 @@ def shape_table(bc: str, m: int, n: int, nq: int) -> tuple[np.ndarray, np.ndarra
 
 # block order (x parity, y parity): ee, eo, oe, oo
 PARITY_BLOCKS = ((0, 0), (0, 1), (1, 0), (1, 1))
-# largest n^2 of a pencil: its blocks are dense, solved in O(n^6) time
+# largest n^2 of a pencil: at m >= 2 its blocks are dense, solved in O(n^6) time
 MAX_PENCIL_DIM = 2500
 # relative gap below which merged eigenvectors follow block order: far below
 # tol_identity, far above the 5e-13 split of the square's clamped lambda_2 = lambda_3
@@ -124,6 +132,25 @@ def _reduced_axis(G00: np.ndarray, F: np.ndarray, index: np.ndarray,
     return np.array(R), np.sqrt(s) * T.T
 
 
+def _kronecker_sum_eig(Rx: np.ndarray, Ry: np.ndarray,
+                       vectors: bool) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+    """Eigenvalues, and with vectors eigenpairs, of Rx (x) I + I (x) Ry.
+
+    The values are mu_i + nu_j of the two 1d solves, in the flat order
+    i * ny + j, sorted stably so that exact ties keep that order; the vector
+    of mu_i + nu_j is column i * ny + j of kron(Q^x, Q^y).
+    """
+    if not vectors:
+        w = (hermitian_eig(Rx, False)[:, None] + hermitian_eig(Ry, False)[None, :]).ravel()
+        return w[np.argsort(w, kind="stable")]
+    (mu, Qx), (nu, Qy) = hermitian_eig(Rx, True), hermitian_eig(Ry, True)
+    w = (mu[:, None] + nu[None, :]).ravel()
+    order = np.argsort(w, kind="stable")
+    # the sorted columns of kron(Qx, Qy), each entry formed once in place
+    i, j = np.divmod(order, nu.size)
+    return w[order], (Qx[:, None, i] * Qy[None, :, j]).reshape(order.size, order.size)
+
+
 class _SolvedBlock(namedtuple("_SolvedBlock", "index back_x back_y w Y")):
     """One parity block, solved with its eigenvectors.
 
@@ -147,7 +174,10 @@ def _solved_blocks(m: int, bc: str, n: int, domain: Domain, count: int,
     Each block's matrix C is formed, solved and dropped before the next.
     With vectors, each block gets eigh and is returned as a _SolvedBlock;
     without, it gets eigvalsh and only its ascending values w are returned,
-    with no eigenvector, index or back-transform.
+    with no eigenvector, index or back-transform.  At m=1, C is the Kronecker
+    sum R^x_1 (x) I + I (x) R^y_1 and is never formed: eigh or eigvalsh runs
+    on its two 1d matrices instead, in O(n^3), and the block's values and
+    vectors come in its flat order, sorted stably.
 
     count may not exceed trusted_capacity(n): the top 30 percent of a
     spectral discretization is dominated by unresolved modes and is never
@@ -190,16 +220,25 @@ def _solved_blocks(m: int, bc: str, n: int, domain: Domain, count: int,
         y_axis = [_reduced_axis(G[0], F, I, np.float64(2.0 / domain.ly)) for I in parity]
         for px, py in PARITY_BLOCKS:
             (Rx, Wx), (Ry, Wy) = x_axis[px], y_axis[py]
-            # C[(i, j), (k, l)] = sum_a C(m,a) Rx[a, i, k] Ry[m-a, j, l]
             dim = Wx.shape[0] * Wy.shape[0]
-            C = np.einsum("a,aik,ajl->ijkl", binom, Rx, Ry[::-1]).reshape(dim, dim)
+            if m == 1:
+                # C = R^x_1 (x) I + I (x) R^y_1 is never formed: a Kronecker
+                # sum of PSD matrices has its largest entry on the diagonal
+                top = np.abs(Rx[1]).max() + np.abs(Ry[1]).max()
+            else:
+                # C[(i, j), (k, l)] = sum_a C(m,a) Rx[a, i, k] Ry[m-a, j, l]
+                C = np.einsum("a,aik,ajl->ijkl", binom, Rx, Ry[::-1]).reshape(dim, dim)
+                top = np.abs(C).max()
             # no eigenvalue of C exceeds its dimension times its largest entry
-            if not np.isfinite(dim * np.abs(C).max()):
+            if not np.isfinite(dim * top):
                 raise CapabilityError(
                     f"a {domain.lx:g} x {domain.ly:g} rectangle is too small for m={m}: "
                     f"its stiffness overflows double precision")
-            kept = hermitian_eig(C, vectors)
-            del C  # one block matrix alive at a time
+            if m == 1:
+                kept = _kronecker_sum_eig(Rx[1], Ry[1], vectors)
+            else:
+                kept = hermitian_eig(C, vectors)
+                del C  # one block matrix alive at a time
             if vectors:
                 Ix, Iy = parity[px], parity[py]
                 kept = _SolvedBlock((Ix[:, None] * n + Iy[None, :]).ravel(), Wx, Wy, *kept)
@@ -262,8 +301,10 @@ def solve_2d_spectrum(m: int, bc: str, n: int, domain: Domain = Domain.rectangle
     """Solve the discrete pencil for its first `count` eigenvalues alone.
 
     Each block gets a values-only solve, and the block values are merged by
-    one sort.  The values agree with solve_2d_eigensystem's to the
-    eigensolvers' backward error, not bit for bit.
+    one sort; at m=1 that is two 1d values-only solves per block, whose
+    values are summed, so no matrix of n^2/4 rows is formed.  The values
+    agree with solve_2d_eigensystem's to the eigensolvers' backward error,
+    not bit for bit.
     """
     w = np.sort(np.concatenate(_solved_blocks(m, bc, n, domain, count, False)))
     return _first_values(m, bc, n, domain, w, count, tol)

@@ -325,6 +325,28 @@ def test_huge_rectangle_side_is_refused(capsys):
         assert code == 0, m
 
 
+@pytest.mark.parametrize("lx", ["1e-8", "1e-4", "1e3", "1e4", "1e6", "1e100"])
+@pytest.mark.parametrize("n", [8, 16])
+def test_m1_free_elongated_rectangle_reads_its_long_side(capsys, n, lx):
+    # the free spectrum on lx x 1 contains the 1d free spectrum of each side,
+    # and its first positive values are those of the long side L = max(lx, 1):
+    # the discrete values of the unit interval over L^2, and at n=16, where
+    # the basis resolves them to 3.1e-14, (k pi / L)^2 itself
+    code, out, _ = run_cli(capsys, "spectrum2d", "--m", "1", "--bc", "neumann", "--count", "8",
+                           "--n", str(n), "--lx", lx, "--stable-output")
+    assert code == 0
+    values = json.loads(out)["eigenvalues"]
+    assert values[0] == 0.0
+    _, G = galerkin.shape_table("neumann", 1, n, n + 4)
+    d = 1.0 / np.sqrt(np.diag(G[0]))
+    unit = np.linalg.eigvalsh(4.0 * d[:, None] * G[1] * d[None, :])
+    side = max(float(lx), 1.0)
+    expected = unit[1:4] / side ** 2
+    if n == 16:
+        np.testing.assert_allclose(expected, (np.arange(1, 4) * np.pi / side) ** 2, rtol=1e-13)
+    np.testing.assert_allclose(values[1:4], expected, rtol=1e-12, atol=0)
+
+
 def test_operator_order_4_is_exit_2(capsys):
     code, out, err = run_cli(capsys, "spectrum2d", "--m", "4", "--bc", "dirichlet")
     assert code == 2 and out == ""
@@ -735,8 +757,9 @@ def test_chain_records_agree_across_blas_threads(m, n, k_max):
     # k=2 sits on the degenerate level lambda_2 = lambda_3 of the square; its
     # Gram record measures a basis of that eigenspace, which the parity-block
     # merge fixes independently of rounding.  At m=1, n=24 the level
-    # lambda_5 = lambda_6 is degenerate inside the even-even block, so the
-    # k=5 record measures the basis eigh returns within one block
+    # lambda_5 = lambda_6 is degenerate inside the even-even block, where the
+    # Kronecker-sum solve returns the tensor-product basis of the 1d
+    # eigenvectors
     docs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,

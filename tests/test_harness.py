@@ -210,9 +210,13 @@ def test_suite_deterministic_across_worker_counts():
 def test_suite_solves_take_the_path_they_need(monkeypatch):
     # the suite's 16 rectangle solves cover 11 distinct pencils.  Only the
     # chain certificate needs eigenvectors: its 3 solves take the eigenpair
-    # path and the other 13 the values-only path, each solving its four parity
-    # blocks, so 52 eigvalsh and 12 eigh block solves.  root-monotonicity reads
-    # the values of the chain's m=1 and m=2 clamped pencils at n=16
+    # path and the other 13 the values-only path.  Each solve has four parity
+    # blocks; at m >= 2 a block is one eigensolve, at m=1 it is a Kronecker
+    # sum solved by two 1d eigensolves, one per axis.  So the 9 values-only
+    # solves at m >= 2 and the 4 at m=1 make 36 + 32 = 68 eigvalsh calls, and
+    # the 2 eigenpair solves at m >= 2 and the 1 at m=1 make 8 + 8 = 16 eigh
+    # calls.  root-monotonicity reads the values of the chain's m=1 and m=2
+    # clamped pencils at n=16
     keys, solved = [], []
     blocks, eig = galerkin._solved_blocks, galerkin.hermitian_eig
 
@@ -235,5 +239,7 @@ def test_suite_solves_take_the_path_they_need(monkeypatch):
                      for m, n in ((1, 16), (2, 16), (3, 12))}
     both = pairs & {key[:4] for key in keys if not key[4]}
     assert both == {(m, BC_DIRICHLET, 16, Domain.rectangle()) for m in (1, 2)}
-    assert solved.count(False) == 52
-    assert solved.count(True) == 12
+    assert sum(key[0] == 1 for key in keys if not key[4]) == 4
+    assert sum(key[0] == 1 for key in keys if key[4]) == 1
+    assert solved.count(False) == 68
+    assert solved.count(True) == 16
